@@ -20,8 +20,9 @@
 //! is byte-identical across thread counts and across reruns, and the
 //! campaign finds zero divergences.
 
-use codesign_bench::jsonout::{self, Value};
+use codesign_bench::jsonout;
 use codesign_conform::sweep::{run_sweep, SweepConfig, SweepReport};
+use codesign_trace::json::Object;
 
 /// Systems in the checked-in report.
 const FULL_SYSTEMS: usize = 1000;
@@ -29,41 +30,30 @@ const FULL_SYSTEMS: usize = 1000;
 const SMOKE_SYSTEMS: usize = 40;
 
 fn render(report: &SweepReport, threads: usize) -> String {
-    let rows: Vec<String> = report
-        .level_errors
-        .iter()
-        .map(|stat| {
-            format!(
-                "{{\"level\": \"{}\", \"max_rel_err\": {:.6}, \"mean_rel_err\": {:.6}}}",
-                stat.level, stat.max, stat.mean
-            )
-        })
-        .collect();
-    jsonout::render(
-        "conform",
-        &[
-            (
-                "description",
-                "differential conformance across the Figure 3 abstraction ladder".into(),
-            ),
-            ("systems", report.systems.into()),
-            ("seed", report.seed.into()),
-            ("host_cores", jsonout::host_cores().into()),
-            ("threads", threads.into()),
-            ("degenerate_systems", report.degenerate_systems.into()),
-            ("engine_diffs", report.engine_diffs.into()),
-            ("lockstep_runs", report.lockstep_runs.into()),
-            ("lockstep_instructions", report.lockstep_instructions.into()),
-            ("total_bytes", report.total_bytes.into()),
-            ("total_irqs", report.total_irqs.into()),
-            ("total_messages", report.total_messages.into()),
-            (
-                "divergences",
-                Value::Num(report.divergences.len().to_string()),
-            ),
-        ],
-        &rows,
-    )
+    let rows = report.level_errors.iter().map(|stat| {
+        Object::inline()
+            .str("level", &stat.level.to_string())
+            .float("max_rel_err", stat.max, 6)
+            .float("mean_rel_err", stat.mean, 6)
+    });
+    let header = jsonout::header("conform")
+        .str(
+            "description",
+            "differential conformance across the Figure 3 abstraction ladder",
+        )
+        .num("systems", report.systems)
+        .num("seed", report.seed)
+        .num("host_cores", jsonout::host_cores())
+        .num("threads", threads)
+        .num("degenerate_systems", report.degenerate_systems)
+        .num("engine_diffs", report.engine_diffs)
+        .num("lockstep_runs", report.lockstep_runs)
+        .num("lockstep_instructions", report.lockstep_instructions)
+        .num("total_bytes", report.total_bytes)
+        .num("total_irqs", report.total_irqs)
+        .num("total_messages", report.total_messages)
+        .num("divergences", report.divergences.len());
+    jsonout::render(header, rows)
 }
 
 fn main() {

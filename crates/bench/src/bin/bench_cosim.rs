@@ -41,6 +41,7 @@ use codesign_sim::ladder::{message_scenario, LadderConfig};
 use codesign_sim::message::{MessageConfig, MessageEngine};
 use codesign_synth::coproc::{characterize, process_network, Application};
 use codesign_synth::mthread::placement_for;
+use codesign_trace::json::Object;
 
 /// Synchronization quanta measured. 16 is the `codesign cosim` default
 /// and the gated cell.
@@ -210,43 +211,32 @@ fn main() {
         }
     }
 
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let speedup = r.before_ns as f64 / r.after_ns.max(1) as f64;
-            let reduction = r.rounds_before as f64 / r.rounds_after.max(1) as f64;
-            format!(
-                "{{\"scenario\": \"{}\", \"quantum\": {}, \"before_ns\": {}, \"after_ns\": {}, \
-                 \"speedup\": {:.2}, \"rounds_before\": {}, \"rounds_after\": {}, \
-                 \"rounds_skipped\": {}, \"round_reduction\": {:.2}}}",
-                r.scenario,
-                r.quantum,
-                r.before_ns,
-                r.after_ns,
-                speedup,
-                r.rounds_before,
-                r.rounds_after,
-                r.rounds_skipped,
-                reduction
-            )
-        })
-        .collect();
-    let json = jsonout::render(
-        "cosim_lookahead",
-        &[
-            ("units", "ns_per_run".into()),
-            ("host_cores", jsonout::host_cores().into()),
-            (
-                "before",
-                "pure-lockstep coordinator (one quantum per round, hints ignored)".into(),
-            ),
-            (
-                "after",
-                "lookahead coordinator (adaptive horizons, idle-skip, batched advancement)".into(),
-            ),
-        ],
-        &rendered,
-    );
+    let rendered = rows.iter().map(|r| {
+        let speedup = r.before_ns as f64 / r.after_ns.max(1) as f64;
+        let reduction = r.rounds_before as f64 / r.rounds_after.max(1) as f64;
+        Object::inline()
+            .str("scenario", r.scenario)
+            .num("quantum", r.quantum)
+            .num("before_ns", r.before_ns)
+            .num("after_ns", r.after_ns)
+            .float("speedup", speedup, 2)
+            .num("rounds_before", r.rounds_before)
+            .num("rounds_after", r.rounds_after)
+            .num("rounds_skipped", r.rounds_skipped)
+            .float("round_reduction", reduction, 2)
+    });
+    let header = jsonout::header("cosim_lookahead")
+        .str("units", "ns_per_run")
+        .num("host_cores", jsonout::host_cores())
+        .str(
+            "before",
+            "pure-lockstep coordinator (one quantum per round, hints ignored)",
+        )
+        .str(
+            "after",
+            "lookahead coordinator (adaptive horizons, idle-skip, batched advancement)",
+        );
+    let json = jsonout::render(header, rendered);
     jsonout::write(&out_path, &json);
 
     // Gate: at the default quantum both scenarios must collapse at least

@@ -49,6 +49,7 @@ use codesign_ir::workload::tgff::{random_task_graph, TgffConfig};
 use codesign_partition::{Partition, Side};
 use codesign_sim::ladder::AbstractionLevel;
 use codesign_synth::coproc::{characterize, realize, Application, CharacterizedApp};
+use codesign_trace::json::Object;
 use codesign_trace::Tracer;
 
 /// Exploration seed (fixed: the report is part of the artifact).
@@ -109,42 +110,36 @@ fn eval_percentile_ns(r: &Run, p: f64) -> u64 {
     ns[rank.min(ns.len() - 1)]
 }
 
-fn row(r: &Run) -> String {
+fn row(r: &Run) -> Object {
     let points_per_sec = r.outcome.stats.offered as f64 * 1e9 / r.wall_ns.max(1) as f64;
-    format!(
-        "{{\"run\": \"{}\", \"eval_mode\": \"{}\", \"threads\": {}, \"cache\": {}, \
-         \"budget\": {}, \"wall_ns\": {}, \"points_per_sec\": {:.0}, \"offered\": {}, \
-         \"unique_points\": {}, \"revisits\": {}, \"revisit_rate\": {:.4}, \
-         \"dedup_skips\": {}, \"gated\": {}, \"delta_hit_rate\": {:.4}, \
-         \"evaluations\": {}, \"warm_hits\": {}, \"eval_p50_ns\": {}, \
-         \"eval_p99_ns\": {}, \"front_size\": {}}}",
-        r.label,
-        r.eval_mode.as_str(),
-        r.threads,
-        r.cache,
-        r.budget,
-        r.wall_ns,
-        points_per_sec,
-        r.outcome.stats.offered,
-        r.outcome.stats.unique_points,
-        r.outcome.stats.revisits,
-        r.outcome.stats.revisit_rate(),
-        r.outcome.stats.dedup_skips,
-        r.outcome.stats.gated,
-        r.outcome.stats.delta_hit_rate(),
-        r.outcome.stats.evaluations,
-        r.outcome.stats.warm_hits,
-        eval_percentile_ns(r, 0.50),
-        eval_percentile_ns(r, 0.99),
-        r.outcome.archive.len()
-    )
+    let stats = &r.outcome.stats;
+    Object::inline()
+        .str("run", &r.label)
+        .str("eval_mode", r.eval_mode.as_str())
+        .num("threads", r.threads)
+        .num("cache", r.cache)
+        .num("budget", r.budget)
+        .num("wall_ns", r.wall_ns)
+        .float("points_per_sec", points_per_sec, 0)
+        .num("offered", stats.offered)
+        .num("unique_points", stats.unique_points)
+        .num("revisits", stats.revisits)
+        .float("revisit_rate", stats.revisit_rate(), 4)
+        .num("dedup_skips", stats.dedup_skips)
+        .num("gated", stats.gated)
+        .float("delta_hit_rate", stats.delta_hit_rate(), 4)
+        .num("evaluations", stats.evaluations)
+        .num("warm_hits", stats.warm_hits)
+        .num("eval_p50_ns", eval_percentile_ns(r, 0.50))
+        .num("eval_p99_ns", eval_percentile_ns(r, 0.99))
+        .num("front_size", r.outcome.archive.len())
 }
 
 /// Realizes the best front entry at each ladder level and renders one
 /// `gap:<level>` row per level comparing the explorer's estimates with
 /// the measured execution: latency against the realized system's total
 /// cycles, area against the sum of the synthesized co-processor areas.
-fn gap_rows(app: &CharacterizedApp, sweep_run: &Run) -> Vec<String> {
+fn gap_rows(app: &CharacterizedApp, sweep_run: &Run) -> Vec<Object> {
     let mut rows = Vec::new();
     for level in AbstractionLevel::ALL {
         let best = sweep_run
@@ -189,22 +184,21 @@ fn gap_rows(app: &CharacterizedApp, sweep_run: &Run) -> Vec<String> {
             measured_area,
             area_gap
         );
-        rows.push(format!(
-            "{{\"run\": \"gap:{level}\", \"level\": \"{level}\", \"assignment\": \"{}\", \
-             \"quantum\": {}, \"est_latency\": {}, \"measured_cycles\": {}, \
-             \"measured_bus_cycles\": {}, \"latency_gap\": {:.4}, \"est_area\": {:.4}, \
-             \"measured_area\": {:.4}, \"area_gap\": {:.4}, \"verified\": {}}}",
-            entry.point.assignment_string(),
-            entry.point.quantum,
-            est_latency,
-            measured.total_cycles,
-            measured.bus_cycles,
-            latency_gap,
-            entry.score.hw_area,
-            measured_area,
-            area_gap,
-            measured.verified
-        ));
+        rows.push(
+            Object::inline()
+                .str("run", &format!("gap:{level}"))
+                .str("level", &level.to_string())
+                .str("assignment", &entry.point.assignment_string())
+                .num("quantum", entry.point.quantum)
+                .num("est_latency", est_latency)
+                .num("measured_cycles", measured.total_cycles)
+                .num("measured_bus_cycles", measured.bus_cycles)
+                .float("latency_gap", latency_gap, 4)
+                .float("est_area", entry.score.hw_area, 4)
+                .float("measured_area", measured_area, 4)
+                .float("area_gap", area_gap, 4)
+                .num("verified", measured.verified),
+        );
     }
     rows
 }
@@ -384,40 +378,36 @@ fn main() {
     let cache_speedup = uncached.wall_ns as f64 / wall_of(4).max(1) as f64;
     let warm_vs_cold = warm.wall_ns as f64 / cold.wall_ns.max(1) as f64;
 
-    let rendered: Vec<String> = sweep
+    let rendered = sweep
         .iter()
         .chain([&uncached])
         .chain(&scale)
         .chain([&big, &big_full, &cold, &warm])
         .map(row)
-        .chain(gaps)
-        .collect();
-    let json = jsonout::render(
-        "explore_executor",
-        &[
-            ("units", "nanoseconds_wall".into()),
-            (
-                "scenario",
-                "dsp_coprocessor (Figure 8 suite) + tgff task graphs".into(),
-            ),
-            ("host_cores", cores.into()),
-            ("threads_max", SWEEP[SWEEP.len() - 1].into()),
-            (
-                "identical_reports",
-                "threads {1,2,4,8,16}, cold vs warm, delta vs full archive, asserted".into(),
-            ),
-            ("speedup_vs_1_thread", speedup.into()),
-            ("cache_speedup", cache_speedup.into()),
-            ("warm_vs_cold", warm_vs_cold.into()),
-            ("delta_vs_full_wall", delta_vs_full_wall.into()),
-            ("seed_full_baseline_pps", SEED_FULL_BASELINE_PPS.into()),
-            (
-                "delta_speedup_vs_seed",
-                (tgff_pts_per_sec / SEED_FULL_BASELINE_PPS).into(),
-            ),
-        ],
-        &rendered,
-    );
+        .chain(gaps);
+    let header = jsonout::header("explore_executor")
+        .str("units", "nanoseconds_wall")
+        .str(
+            "scenario",
+            "dsp_coprocessor (Figure 8 suite) + tgff task graphs",
+        )
+        .num("host_cores", cores)
+        .num("threads_max", SWEEP[SWEEP.len() - 1])
+        .str(
+            "identical_reports",
+            "threads {1,2,4,8,16}, cold vs warm, delta vs full archive, asserted",
+        )
+        .float("speedup_vs_1_thread", speedup, 4)
+        .float("cache_speedup", cache_speedup, 4)
+        .float("warm_vs_cold", warm_vs_cold, 4)
+        .float("delta_vs_full_wall", delta_vs_full_wall, 4)
+        .float("seed_full_baseline_pps", SEED_FULL_BASELINE_PPS, 4)
+        .float(
+            "delta_speedup_vs_seed",
+            tgff_pts_per_sec / SEED_FULL_BASELINE_PPS,
+            4,
+        );
+    let json = jsonout::render(header, rendered);
     jsonout::write(&out_path, &json);
 
     // Gates. Determinism gates were asserted above and hold in both

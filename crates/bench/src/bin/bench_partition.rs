@@ -14,7 +14,8 @@
 
 use std::time::Instant;
 
-use codesign_bench::{jsonout, reference};
+use codesign_bench::jsonout;
+use codesign_bench::reference;
 use codesign_ir::task::TaskGraph;
 use codesign_ir::workload::tgff::{random_task_graph, TgffConfig};
 use codesign_partition::algorithms::{
@@ -23,6 +24,7 @@ use codesign_partition::algorithms::{
 use codesign_partition::area::NaiveArea;
 use codesign_partition::cost::Objective;
 use codesign_partition::eval::EvalConfig;
+use codesign_trace::json::Object;
 
 static NAIVE: NaiveArea = NaiveArea;
 
@@ -120,33 +122,27 @@ fn main() {
         }
     }
 
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let speedup = r.before_ns as f64 / r.after_ns.max(1) as f64;
-            format!(
-                "{{\"algorithm\": \"{}\", \"tasks\": {}, \"before_ns\": {}, \
-                 \"after_ns\": {}, \"speedup\": {:.2}}}",
-                r.algorithm, r.tasks, r.before_ns, r.after_ns, speedup
-            )
-        })
-        .collect();
-    let json = jsonout::render(
-        "partition_algorithms",
-        &[
-            ("units", "ns_per_run".into()),
-            ("host_cores", jsonout::host_cores().into()),
-            (
-                "before",
-                "seed clone-and-reevaluate implementation (codesign_bench::reference)".into(),
-            ),
-            (
-                "after",
-                "incremental Evaluator with suffix-restart delta evaluation".into(),
-            ),
-        ],
-        &rendered,
-    );
+    let rendered = rows.iter().map(|r| {
+        let speedup = r.before_ns as f64 / r.after_ns.max(1) as f64;
+        Object::inline()
+            .str("algorithm", r.algorithm)
+            .num("tasks", r.tasks)
+            .num("before_ns", r.before_ns)
+            .num("after_ns", r.after_ns)
+            .float("speedup", speedup, 2)
+    });
+    let header = jsonout::header("partition_algorithms")
+        .str("units", "ns_per_run")
+        .num("host_cores", jsonout::host_cores())
+        .str(
+            "before",
+            "seed clone-and-reevaluate implementation (codesign_bench::reference)",
+        )
+        .str(
+            "after",
+            "incremental Evaluator with suffix-restart delta evaluation",
+        );
+    let json = jsonout::render(header, rendered);
     jsonout::write(&out_path, &json);
 
     let kl64 = rows

@@ -31,7 +31,8 @@ use codesign::fault::FaultPlan;
 use codesign::replay::{bisect_divergence, linear_first_divergence, snapshot, ReplaySession};
 use codesign::resilience::{build_scenario, RUN_BUDGET, SCENARIOS};
 
-use codesign_bench::jsonout::{self, Value};
+use codesign_bench::jsonout;
+use codesign_trace::json::Object;
 
 /// Checkpoint every N coordination rounds.
 const CADENCE: u64 = 8;
@@ -135,7 +136,7 @@ fn main() {
         // Bisection: first seed whose armed run departs its golden twin
         // persistently. Gate: the reported round matches the linear
         // oracle exactly.
-        let mut bisect_row = String::from("\"masked\"");
+        let mut bisect = None;
         for seed in 1..=bisect_seeds {
             let golden = factory(scenario, FaultPlan::quiet(), seed);
             let faulty = factory(scenario, FaultPlan::standard(), seed);
@@ -153,17 +154,18 @@ fn main() {
             );
             total_bisect_probes += report.probes;
             total_linear_probes += report.linear_probes;
-            bisect_row = format!(
-                "{{\"seed\": {seed}, \"first_divergent_round\": {round}, \
-                 \"probes\": {}, \"linear_probes\": {}}}",
-                report.probes, report.linear_probes
+            bisect = Some(
+                Object::inline()
+                    .num("seed", seed)
+                    .num("first_divergent_round", round)
+                    .num("probes", report.probes)
+                    .num("linear_probes", report.linear_probes),
             );
             break;
         }
-        assert_ne!(
-            bisect_row, "\"masked\"",
-            "{scenario}: no seed in 1..={bisect_seeds} diverged — widen the scan"
-        );
+        let bisect = bisect.unwrap_or_else(|| {
+            panic!("{scenario}: no seed in 1..={bisect_seeds} diverged — widen the scan")
+        });
 
         let overhead = replay.as_secs_f64() / straight.as_secs_f64().max(1e-9);
         println!(
@@ -172,20 +174,21 @@ fn main() {
             end_blob.len(),
             stats.dedup_ratio(),
         );
-        rows.push(format!(
-            "{{\"scenario\": \"{scenario}\", \"rounds\": {rounds}, \
-             \"snapshot_bytes\": {}, \"snapshot_us\": {snap_us:.2}, \
-             \"checkpoints\": {}, \"logical_bytes\": {}, \"stored_bytes\": {}, \
-             \"dedup_ratio\": {:.4}, \"straight_ms\": {:.3}, \"replay_ms\": {:.3}, \
-             \"replay_overhead\": {overhead:.4}, \"bisect\": {bisect_row}}}",
-            end_blob.len(),
-            stats.checkpoints,
-            stats.logical_bytes,
-            stats.stored_bytes,
-            stats.dedup_ratio(),
-            straight.as_secs_f64() * 1e3,
-            replay.as_secs_f64() * 1e3,
-        ));
+        rows.push(
+            Object::inline()
+                .str("scenario", scenario)
+                .num("rounds", rounds)
+                .num("snapshot_bytes", end_blob.len())
+                .float("snapshot_us", snap_us, 2)
+                .num("checkpoints", stats.checkpoints)
+                .num("logical_bytes", stats.logical_bytes)
+                .num("stored_bytes", stats.stored_bytes)
+                .float("dedup_ratio", stats.dedup_ratio(), 4)
+                .float("straight_ms", straight.as_secs_f64() * 1e3, 3)
+                .float("replay_ms", replay.as_secs_f64() * 1e3, 3)
+                .float("replay_overhead", overhead, 4)
+                .raw("bisect", &bisect.finish()),
+        );
     }
 
     assert!(
@@ -194,23 +197,13 @@ fn main() {
          {total_bisect_probes} vs {total_linear_probes} probes"
     );
 
-    let json = jsonout::render(
-        "replay",
-        &[
-            ("smoke", smoke.into()),
-            ("cadence_rounds", CADENCE.into()),
-            ("snapshot_samples", u64::from(SNAP_SAMPLES).into()),
-            ("host_cores", jsonout::host_cores().into()),
-            (
-                "bisect_total_probes",
-                Value::Num(total_bisect_probes.to_string()),
-            ),
-            (
-                "linear_total_probes",
-                Value::Num(total_linear_probes.to_string()),
-            ),
-        ],
-        &rows,
-    );
+    let header = jsonout::header("replay")
+        .num("smoke", smoke)
+        .num("cadence_rounds", CADENCE)
+        .num("snapshot_samples", SNAP_SAMPLES)
+        .num("host_cores", jsonout::host_cores())
+        .num("bisect_total_probes", total_bisect_probes)
+        .num("linear_total_probes", total_linear_probes);
+    let json = jsonout::render(header, rows);
     jsonout::write(&out_path, &json);
 }

@@ -49,7 +49,8 @@ use codesign::servejobs::{
     cosim_report_json, partition_report_json, run_cosim, CodesignRunner, CosimParams,
 };
 use codesign::trace::Tracer;
-use codesign_bench::jsonout::{self, Value};
+use codesign_bench::jsonout;
+use codesign_trace::json::{self, Object, Value};
 
 fn spec_path(name: &str) -> String {
     format!("{}/../../examples/specs/{name}", env!("CARGO_MANIFEST_DIR"))
@@ -73,15 +74,16 @@ struct Job {
     resubmit: bool,
 }
 
+/// A job whose request line is `id` followed by the fields `body` adds.
 fn job(
     id: String,
     kind: &'static str,
-    body: &str,
+    body: impl FnOnce(Object) -> Object,
     expect: Option<Arc<String>>,
     must_ok: bool,
 ) -> Job {
     Job {
-        line: format!("{{\"id\":\"{id}\",{body}}}"),
+        line: body(Object::compact().str("id", &id)).finish(),
         id,
         kind,
         expect,
@@ -90,66 +92,8 @@ fn job(
     }
 }
 
-/// Minimal reply-field extraction (the protocol emits one flat JSON
-/// object per line; `result` is the only escaped-string field we need).
-fn reply_id(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix("{\"id\":")?;
-    if rest.starts_with("null") {
-        return None;
-    }
-    let rest = rest.strip_prefix('"')?;
-    rest.find('"').map(|end| &rest[..end])
-}
-
-fn reply_status(line: &str) -> &str {
-    for status in [
-        "\"status\":\"ok\"",
-        "\"status\":\"error\"",
-        "\"status\":\"shed\"",
-        "\"status\":\"stats\"",
-        "\"status\":\"draining\"",
-    ] {
-        if line.contains(status) {
-            // "ok" -> ok etc.
-            return &status[10..status.len() - 1];
-        }
-    }
-    "unknown"
-}
-
-/// Unescapes the `"result":"..."` payload of an `ok` reply.
-fn reply_result(line: &str) -> Option<String> {
-    let start = line.find("\"result\":\"")? + 10;
-    let bytes = &line.as_bytes()[start..];
-    let mut out = String::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Some(out),
-            b'\\' => {
-                i += 1;
-                match bytes.get(i)? {
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'u' => {
-                        let code =
-                            u32::from_str_radix(&line[start + i + 1..start + i + 5], 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        i += 4;
-                    }
-                    other => out.push(*other as char),
-                }
-            }
-            other => out.push(other as char),
-        }
-        i += 1;
-    }
-    None
-}
+/// A malformed line whose `id` the server cannot recover.
+const GARBAGE: &str = "{\"id\": unquoted garbage #";
 
 /// What one client observed.
 #[derive(Debug, Default)]
@@ -182,7 +126,7 @@ fn run_client(addr: std::net::SocketAddr, jobs: &[Job], garbage: usize) -> Clien
     let mut garbage_sent = 0usize;
     for (i, j) in jobs.iter().enumerate() {
         if garbage_sent < garbage && i % 7 == 3 {
-            writeln!(writer, "{{\"id\": unquoted garbage #{i}").expect("send garbage");
+            writeln!(writer, "{GARBAGE}{i}").expect("send garbage");
             garbage_sent += 1;
         }
         let t0 = Instant::now();
@@ -208,9 +152,13 @@ fn run_client(addr: std::net::SocketAddr, jobs: &[Job], garbage: usize) -> Clien
             "server closed with {} jobs unanswered",
             pending.len()
         );
-        let status = reply_status(&line);
+        let reply = json::parse(&line).expect("replies are JSON");
+        let status = reply
+            .get("status")
+            .and_then(Value::as_str)
+            .unwrap_or("unknown");
         *out.by_status.entry(status.to_string()).or_default() += 1;
-        match reply_id(&line) {
+        match reply.get("id").and_then(Value::as_str) {
             None => out.garbage_answered += 1,
             Some(id) => {
                 let (j, t0) = pending
@@ -236,10 +184,10 @@ fn run_client(addr: std::net::SocketAddr, jobs: &[Job], garbage: usize) -> Clien
                 }
                 if status == "ok" {
                     if let Some(expect) = &j.expect {
-                        let got = reply_result(&line).expect("ok reply carries result");
+                        let got = reply.get("result").and_then(Value::as_str);
                         assert_eq!(
-                            &got,
-                            expect.as_str(),
+                            got,
+                            Some(expect.as_str()),
                             "job {id} ({}) diverged from the direct renderer",
                             j.kind
                         );
@@ -369,10 +317,11 @@ fn main() {
                 jobs.push(job(
                     format!("c{c}-part-{i}"),
                     "partition",
-                    &format!(
-                        "\"kind\":\"partition\",\"spec\":\"{part_spec}\",\"priority\":\"{}\"",
-                        prio[i % 3]
-                    ),
+                    |o| {
+                        o.str("kind", "partition")
+                            .str("spec", &part_spec)
+                            .str("priority", prio[i % 3])
+                    },
                     Some(Arc::clone(&exp_partition)),
                     true,
                 ));
@@ -381,7 +330,7 @@ fn main() {
                 jobs.push(job(
                     format!("c{c}-cosim-{i}"),
                     "cosim",
-                    &format!("\"kind\":\"cosim\",\"spec\":\"{proc_spec}\""),
+                    |o| o.str("kind", "cosim").str("spec", &proc_spec),
                     Some(Arc::clone(&exp_cosim)),
                     true,
                 ));
@@ -390,9 +339,12 @@ fn main() {
                 jobs.push(job(
                     format!("c{c}-exp-{i}"),
                     "explore",
-                    &format!(
-                        "\"kind\":\"explore\",\"spec\":\"{part_spec}\",\"budget\":{explore_budget},\"seed\":42"
-                    ),
+                    |o| {
+                        o.str("kind", "explore")
+                            .str("spec", &part_spec)
+                            .num("budget", explore_budget)
+                            .num("seed", 42)
+                    },
                     Some(Arc::clone(&exp_explore)),
                     true,
                 ));
@@ -401,7 +353,11 @@ fn main() {
                 jobs.push(job(
                     format!("c{c}-panic-{i}"),
                     "panic",
-                    &format!("\"kind\":\"partition\",\"spec\":\"{part_spec}\",\"chaos\":\"panic\""),
+                    |o| {
+                        o.str("kind", "partition")
+                            .str("spec", &part_spec)
+                            .str("chaos", "panic")
+                    },
                     None,
                     false,
                 ));
@@ -410,7 +366,7 @@ fn main() {
                 jobs.push(job(
                     format!("c{c}-stall-{i}"),
                     "stall",
-                    "\"kind\":\"cosim\",\"chaos\":\"stall\"",
+                    |o| o.str("kind", "cosim").str("chaos", "stall"),
                     None,
                     false,
                 ));
@@ -421,9 +377,11 @@ fn main() {
                 jobs.push(job(
                     format!("c{c}-flaky-{i}"),
                     "transient",
-                    &format!(
-                        "\"kind\":\"partition\",\"spec\":\"{part_spec}\",\"chaos\":\"transient:2\""
-                    ),
+                    |o| {
+                        o.str("kind", "partition")
+                            .str("spec", &part_spec)
+                            .str("chaos", "transient:2")
+                    },
                     Some(Arc::clone(&exp_partition)),
                     true,
                 ));
@@ -457,7 +415,12 @@ fn main() {
         let mut j = job(
             format!("burst-exp-{i}"),
             "explore",
-            &format!("\"kind\":\"explore\",\"spec\":\"{part_spec}\",\"budget\":64,\"seed\":{i}"),
+            |o| {
+                o.str("kind", "explore")
+                    .str("spec", &part_spec)
+                    .num("budget", 64)
+                    .num("seed", i)
+            },
             None,
             false,
         );
@@ -468,7 +431,12 @@ fn main() {
         burst_jobs.push(job(
             format!("burst-dead-{i}"),
             "deadline",
-            &format!("\"kind\":\"partition\",\"spec\":\"{part_spec}\",\"deadline_ms\":0,\"priority\":\"low\""),
+            |o| {
+                o.str("kind", "partition")
+                    .str("spec", &part_spec)
+                    .num("deadline_ms", 0)
+                    .str("priority", "low")
+            },
             None,
             false,
         ));
@@ -479,12 +447,20 @@ fn main() {
     // counters on the shutdown reply.
     {
         let mut s = TcpStream::connect(addr).expect("control connect");
-        writeln!(s, "{{\"id\":\"down\",\"kind\":\"shutdown\"}}").expect("send shutdown");
+        let down = Object::compact().str("id", "down").str("kind", "shutdown");
+        writeln!(s, "{}", down.finish()).expect("send shutdown");
         let mut r = BufReader::new(s.try_clone().expect("clone"));
         let mut line = String::new();
         r.read_line(&mut line).expect("read shutdown reply");
-        assert!(
-            line.contains("\"status\":\"stats\""),
+        let status = json::parse(&line).ok().and_then(|reply| {
+            reply
+                .get("status")
+                .and_then(Value::as_str)
+                .map(str::to_string)
+        });
+        assert_eq!(
+            status.as_deref(),
+            Some("stats"),
             "bad shutdown reply: {line}"
         );
     }
@@ -540,49 +516,42 @@ fn main() {
             *statuses.entry(k.clone()).or_default() += v;
         }
     }
-    let rows: Vec<String> = statuses
+    let rows = statuses
         .iter()
-        .map(|(status, count)| format!("{{\"status\": \"{status}\", \"replies\": {count}}}"))
-        .collect();
-
-    let json = jsonout::render(
-        "serve",
-        &[
-            (
-                "description",
-                "chaos-tested multi-tenant job server: concurrent TCP clients, panics, \
-                 watchdog stalls, injected transient faults, malformed lines, overload burst"
-                    .into(),
-            ),
-            ("host_cores", host_cores.into()),
-            ("smoke", smoke.into()),
-            ("clients", clients.into()),
-            ("workers", cfg.workers.into()),
-            ("queue_capacity", cfg.queue_capacity.into()),
-            ("jobs_answered", answered.into()),
-            ("garbage_lines_answered", garbage_answered.into()),
-            ("accepted", stats.accepted.into()),
-            ("ok", stats.ok.into()),
-            ("failed", stats.failed.into()),
-            ("shed", stats.shed.into()),
-            ("retried", stats.retried.into()),
-            ("panicked", stats.panicked.into()),
-            ("watchdogged", stats.watchdogged.into()),
-            ("deadline_expired", stats.deadline_expired.into()),
-            ("byte_identical_ok_replies", byte_identical.into()),
-            (
-                "resubmits_after_shed",
-                outcomes.iter().map(|o| o.resubmits).sum::<u64>().into(),
-            ),
-            ("lost_results", 0u64.into()),
-            ("duplicated_results", 0u64.into()),
-            ("tenant_store_entries", store.len().into()),
-            ("p50_ms", Value::Num(format!("{:.3}", pct(0.50)))),
-            ("p99_ms", Value::Num(format!("{:.3}", pct(0.99)))),
-            ("jobs_per_sec", Value::Num(format!("{jobs_per_sec:.1}"))),
-        ],
-        &rows,
-    );
+        .map(|(status, count)| Object::inline().str("status", status).num("replies", count));
+    let header = jsonout::header("serve")
+        .str(
+            "description",
+            "chaos-tested multi-tenant job server: concurrent TCP clients, panics, \
+             watchdog stalls, injected transient faults, malformed lines, overload burst",
+        )
+        .num("host_cores", host_cores)
+        .num("smoke", smoke)
+        .num("clients", clients)
+        .num("workers", cfg.workers)
+        .num("queue_capacity", cfg.queue_capacity)
+        .num("jobs_answered", answered)
+        .num("garbage_lines_answered", garbage_answered)
+        .num("accepted", stats.accepted)
+        .num("ok", stats.ok)
+        .num("failed", stats.failed)
+        .num("shed", stats.shed)
+        .num("retried", stats.retried)
+        .num("panicked", stats.panicked)
+        .num("watchdogged", stats.watchdogged)
+        .num("deadline_expired", stats.deadline_expired)
+        .num("byte_identical_ok_replies", byte_identical)
+        .num(
+            "resubmits_after_shed",
+            outcomes.iter().map(|o| o.resubmits).sum::<u64>(),
+        )
+        .num("lost_results", 0)
+        .num("duplicated_results", 0)
+        .num("tenant_store_entries", store.len())
+        .float("p50_ms", pct(0.50), 3)
+        .float("p99_ms", pct(0.99), 3)
+        .float("jobs_per_sec", jobs_per_sec, 1);
+    let json = jsonout::render(header, rows);
     eprintln!(
         "serve: {} answered ({} ok, {} shed, {} retried, {} panicked, {} watchdogged, \
          {} expired), p50 {:.2}ms p99 {:.2}ms, {:.0} jobs/sec",

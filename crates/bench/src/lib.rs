@@ -36,11 +36,11 @@ use std::fmt::Write as _;
 /// Shared plumbing for the `bench-*` binaries: the common
 /// `[--smoke] [out.json]` argument convention and the standard
 /// benchmark JSON document shape (a `"benchmark"` name, descriptive
-/// header fields, and a `"results"` array of preformatted rows). Every
+/// header fields, and a `"results"` array of rows). Every
 /// `BENCH_*.json` in the repository is rendered through this module, so
 /// the artifact-collection glob and downstream tooling see one format.
 pub mod jsonout {
-    use std::fmt::Write as _;
+    use codesign_trace::json::{self, Object};
 
     /// Parses the standard bench CLI: an optional `--smoke` flag and an
     /// optional output path. Returns `(smoke, out_path)`, defaulting the
@@ -62,57 +62,6 @@ pub mod jsonout {
         (smoke, out_path)
     }
 
-    /// A typed header value, so numeric metadata (core counts, speedup
-    /// ratios) lands in the JSON as numbers rather than strings.
-    #[derive(Debug, Clone)]
-    pub enum Value {
-        /// A quoted JSON string.
-        Str(String),
-        /// An unquoted number, preformatted (e.g. `"1.52"`, `"8"`).
-        Num(String),
-        /// An unquoted JSON literal (`true`, `null`, ...).
-        Raw(String),
-    }
-
-    impl From<&str> for Value {
-        fn from(v: &str) -> Self {
-            Value::Str(v.to_string())
-        }
-    }
-
-    impl From<u64> for Value {
-        fn from(v: u64) -> Self {
-            Value::Num(v.to_string())
-        }
-    }
-
-    impl From<usize> for Value {
-        fn from(v: usize) -> Self {
-            Value::Num(v.to_string())
-        }
-    }
-
-    impl From<f64> for Value {
-        fn from(v: f64) -> Self {
-            Value::Num(format!("{v:.4}"))
-        }
-    }
-
-    impl From<bool> for Value {
-        fn from(v: bool) -> Self {
-            Value::Raw(v.to_string())
-        }
-    }
-
-    impl std::fmt::Display for Value {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            match self {
-                Value::Str(s) => write!(f, "\"{s}\""),
-                Value::Num(n) | Value::Raw(n) => write!(f, "{n}"),
-            }
-        }
-    }
-
     /// The host's available parallelism — every benchmark reports it so
     /// a reader can judge whether a scaling number had cores behind it.
     #[must_use]
@@ -122,26 +71,20 @@ pub mod jsonout {
             .unwrap_or(1)
     }
 
-    /// Renders the standard benchmark document: the `"benchmark"` name,
-    /// the typed `headers` in order, then `rows` (each a preformatted
-    /// JSON object, no trailing comma) under `"results"`.
+    /// Starts the standard benchmark document: the `"benchmark"` name
+    /// first, then whatever header fields the caller appends.
     #[must_use]
-    pub fn render(benchmark: &str, headers: &[(&str, Value)], rows: &[String]) -> String {
-        let mut json = String::from("{\n");
-        let _ = writeln!(json, "  \"benchmark\": \"{benchmark}\",");
-        for (key, value) in headers {
-            let _ = writeln!(json, "  \"{key}\": {value},");
-        }
-        json.push_str("  \"results\": [\n");
-        for (i, row) in rows.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {row}{}",
-                if i + 1 < rows.len() { "," } else { "" }
-            );
-        }
-        json.push_str("  ]\n}\n");
-        json
+    pub fn header(benchmark: &str) -> Object {
+        Object::block().str("benchmark", benchmark)
+    }
+
+    /// Renders the standard benchmark document: `header` (from
+    /// [`header`]), then one row per line under `"results"` (each row
+    /// an [`Object::inline`]).
+    #[must_use]
+    pub fn render(header: Object, rows: impl IntoIterator<Item = Object>) -> String {
+        let rows = rows.into_iter().map(Object::finish);
+        header.raw("results", &json::block_array(rows)).finish() + "\n"
     }
 
     /// Writes a report, creating parent directories as needed, and

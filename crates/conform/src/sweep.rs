@@ -35,6 +35,7 @@ use codesign_ir::workload::tgff::{random_process_network, NetworkConfig};
 use codesign_sim::engine::SimEngine;
 use codesign_sim::ladder::AbstractionLevel;
 use codesign_sim::message::{simulate, MessageConfig, MessageEngine, Placement, Resource};
+use codesign_trace::json::{self, Object};
 
 use crate::lockstep::{self, LockstepConfig, LockstepOutcome};
 use crate::observables::{check, level_errors, Divergence};
@@ -454,64 +455,38 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, ConformError> {
 /// Renders a sweep report as deterministic JSON — the single renderer
 /// behind both `codesign conform --json` and the job server's `conform`
 /// replies, so a served run is byte-identical to a direct CLI run.
-/// Hand-rolled (the workspace vendors no serializer for this shape);
-/// `detail` strings are escaped.
 #[must_use]
 pub fn report_json(cfg: &SweepConfig, report: &SweepReport) -> String {
-    use std::fmt::Write as _;
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut j = String::from("{\n");
-    let _ = writeln!(j, "  \"tool\": \"codesign conform\",");
-    let _ = writeln!(j, "  \"systems\": {},", report.systems);
-    let _ = writeln!(j, "  \"seed\": {},", report.seed);
-    let _ = writeln!(j, "  \"lockstep\": {},", cfg.lockstep);
-    let _ = writeln!(
-        j,
-        "  \"degenerate_systems\": {},",
-        report.degenerate_systems
-    );
-    let _ = writeln!(j, "  \"engine_diffs\": {},", report.engine_diffs);
-    let _ = writeln!(j, "  \"lockstep_runs\": {},", report.lockstep_runs);
-    let _ = writeln!(
-        j,
-        "  \"lockstep_instructions\": {},",
-        report.lockstep_instructions
-    );
-    let _ = writeln!(j, "  \"total_bytes\": {},", report.total_bytes);
-    let _ = writeln!(j, "  \"total_irqs\": {},", report.total_irqs);
-    let _ = writeln!(j, "  \"total_messages\": {},", report.total_messages);
-    j.push_str("  \"level_errors\": [\n");
-    for (i, stat) in report.level_errors.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"level\": \"{}\", \"max\": {:.6}, \"mean\": {:.6}}}{}",
-            stat.level,
-            stat.max,
-            stat.mean,
-            if i + 1 < report.level_errors.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    j.push_str("  ],\n  \"divergences\": [\n");
-    for (i, d) in report.divergences.iter().enumerate() {
-        let _ = writeln!(
-            j,
-            "    {{\"seed\": {}, \"check\": \"{}\", \"detail\": \"{}\"}}{}",
-            d.seed,
-            esc(d.check),
-            esc(&d.detail),
-            if i + 1 < report.divergences.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    j.push_str("  ]\n}\n");
-    j
+    let levels = report.level_errors.iter().map(|stat| {
+        Object::inline()
+            .str("level", &stat.level.to_string())
+            .float("max", stat.max, 6)
+            .float("mean", stat.mean, 6)
+            .finish()
+    });
+    let divergences = report.divergences.iter().map(|d| {
+        Object::inline()
+            .num("seed", d.seed)
+            .str("check", d.check)
+            .str("detail", &d.detail)
+            .finish()
+    });
+    Object::block()
+        .str("tool", "codesign conform")
+        .num("systems", report.systems)
+        .num("seed", report.seed)
+        .num("lockstep", cfg.lockstep)
+        .num("degenerate_systems", report.degenerate_systems)
+        .num("engine_diffs", report.engine_diffs)
+        .num("lockstep_runs", report.lockstep_runs)
+        .num("lockstep_instructions", report.lockstep_instructions)
+        .num("total_bytes", report.total_bytes)
+        .num("total_irqs", report.total_irqs)
+        .num("total_messages", report.total_messages)
+        .raw("level_errors", &json::block_array(levels))
+        .raw("divergences", &json::block_array(divergences))
+        .finish()
+        + "\n"
 }
 
 #[cfg(test)]

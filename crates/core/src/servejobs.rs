@@ -45,7 +45,6 @@ use codesign_partition::area::{HwAreaModel, NaiveArea, SharedArea};
 use codesign_partition::cost::Objective;
 use codesign_partition::eval::{EvalConfig, Evaluation};
 use codesign_partition::{Partition, Side};
-use codesign_serve::protocol::escape;
 use codesign_serve::{JobError, JobRunner, Request, RunOutcome};
 use codesign_sim::engine::{Coordinator, CoordinatorStats, SimEngine, WatchdogConfig};
 use codesign_sim::error::SimError;
@@ -53,6 +52,7 @@ use codesign_sim::message::{
     simulate_traced, MessageConfig, MessageEngine, MessageReport, Placement, Resource,
 };
 use codesign_synth::mthread::{comm_aware_traced, MthreadConfig};
+use codesign_trace::json::{self, Object};
 use codesign_trace::Tracer;
 
 use crate::resilience::{run_campaign_traced, CampaignConfig};
@@ -73,36 +73,34 @@ pub fn partition_report_json(
     eval: &Evaluation,
     deadline: Option<u64>,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"command\": \"partition\",\n");
-    out.push_str(&format!("  \"system\": \"{system}\",\n"));
-    out.push_str(&format!("  \"algorithm\": \"{algorithm}\",\n"));
-    out.push_str("  \"tasks\": [\n");
-    for (i, (id, task)) in graph.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"side\": \"{}\"}}{}\n",
-            task.name(),
-            match partition.side(id) {
-                Side::Sw => "sw",
-                Side::Hw => "hw",
-            },
-            if i + 1 < graph.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"makespan\": {},\n", eval.makespan));
-    match deadline {
-        Some(d) => {
-            out.push_str(&format!("  \"deadline\": {d},\n"));
-            out.push_str(&format!("  \"meets_deadline\": {},\n", eval.meets_deadline));
-        }
-        None => out.push_str("  \"deadline\": null,\n"),
-    }
-    out.push_str(&format!("  \"hw_area\": {:.4},\n", eval.hw_area));
-    out.push_str(&format!("  \"cross_bytes\": {},\n", eval.cross_bytes));
-    out.push_str(&format!("  \"cost\": {:.6}\n", eval.cost));
-    out.push_str("}\n");
-    out
+    let tasks = graph.iter().map(|(id, task)| {
+        let side = match partition.side(id) {
+            Side::Sw => "sw",
+            Side::Hw => "hw",
+        };
+        Object::inline()
+            .str("name", task.name())
+            .str("side", side)
+            .finish()
+    });
+    let mut report = Object::block()
+        .str("command", "partition")
+        .str("system", system)
+        .str("algorithm", algorithm)
+        .raw("tasks", &json::block_array(tasks))
+        .num("makespan", eval.makespan);
+    report = match deadline {
+        Some(d) => report
+            .num("deadline", d)
+            .num("meets_deadline", eval.meets_deadline),
+        None => report.raw("deadline", "null"),
+    };
+    report
+        .float("hw_area", eval.hw_area, 4)
+        .num("cross_bytes", eval.cross_bytes)
+        .float("cost", eval.cost, 6)
+        .finish()
+        + "\n"
 }
 
 /// What the CLI passes to [`run_cosim`]: a pinned hardware set *or* a
@@ -291,40 +289,30 @@ pub fn run_cosim_sliced(
 /// statistics, shared by the CLI flag and the served `cosim` job.
 #[must_use]
 pub fn cosim_report_json(system: &str, quantum: u64, outcome: &CosimOutcome) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"command\": \"cosim\",\n");
-    out.push_str(&format!("  \"system\": \"{}\",\n", escape(system)));
-    out.push_str("  \"hw\": [");
-    for (i, name) in outcome.hw_names.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}\"", escape(name)));
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("  \"quantum\": {quantum},\n"));
-    out.push_str(&format!(
-        "  \"finish_time\": {},\n",
-        outcome.report.finish_time
-    ));
-    out.push_str(&format!("  \"messages\": {},\n", outcome.report.messages));
-    out.push_str(&format!("  \"bytes\": {},\n", outcome.report.bytes));
-    out.push_str(&format!(
-        "  \"cross_boundary_bytes\": {},\n",
-        outcome.report.cross_boundary_bytes
-    ));
-    out.push_str(&format!("  \"events\": {},\n", outcome.report.events));
-    out.push_str(&format!(
-        "  \"coordinator\": {{\"sync_rounds\": {}, \"rounds_skipped\": {}, \
-         \"cycles_leapt\": {}, \"time\": {}, \"skew\": {}}}\n",
-        outcome.stats.sync_rounds,
-        outcome.stats.rounds_skipped,
-        outcome.stats.cycles_leapt,
-        outcome.stats.time,
-        outcome.skew
-    ));
-    out.push_str("}\n");
-    out
+    let stats = &outcome.stats;
+    let coordinator = Object::inline()
+        .num("sync_rounds", stats.sync_rounds)
+        .num("rounds_skipped", stats.rounds_skipped)
+        .num("cycles_leapt", stats.cycles_leapt)
+        .num("time", stats.time)
+        .num("skew", outcome.skew);
+    let report = &outcome.report;
+    Object::block()
+        .str("command", "cosim")
+        .str("system", system)
+        .raw(
+            "hw",
+            &json::inline_array(outcome.hw_names.iter().map(|name| json::quote(name))),
+        )
+        .num("quantum", quantum)
+        .num("finish_time", report.finish_time)
+        .num("messages", report.messages)
+        .num("bytes", report.bytes)
+        .num("cross_boundary_bytes", report.cross_boundary_bytes)
+        .num("events", report.events)
+        .raw("coordinator", &coordinator.finish())
+        .finish()
+        + "\n"
 }
 
 /// Maps a [`SimError`] onto a [`JobError`] through the fault taxonomy:

@@ -18,11 +18,9 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 /// The relationship between the hardware and software components
 /// (paper Section 2, Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SystemType {
     /// The boundary is a *logical* one: "the hardware is thought to be
     /// executing the software", e.g. a microprocessor plus glue logic.
@@ -48,7 +46,7 @@ impl std::fmt::Display for SystemType {
 }
 
 /// The system design tasks of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DesignTask {
     /// Simulating HW and SW together (Section 3.1).
     CoSimulation,
@@ -71,7 +69,7 @@ impl std::fmt::Display for DesignTask {
 }
 
 /// The interface-abstraction ladder of Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InterfaceAbstraction {
     /// Bus/CPU pin and signal activity.
     SignalActivity,
@@ -96,7 +94,7 @@ impl std::fmt::Display for InterfaceAbstraction {
 }
 
 /// The partitioning considerations of Section 3.3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PartitioningFactor {
     /// Performance requirements.
     Performance,
@@ -139,7 +137,7 @@ impl std::fmt::Display for PartitioningFactor {
 }
 
 /// The system classes of the paper's Section 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SystemClass {
     /// Embedded microprocessor plus interface/glue logic (4.1).
     EmbeddedMicroprocessor,
@@ -170,7 +168,7 @@ impl std::fmt::Display for SystemClass {
 }
 
 /// One co-design approach described along the paper's four criteria.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Methodology {
     /// Short name (e.g. `"Chinook"`).
     pub name: String,

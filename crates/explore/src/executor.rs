@@ -71,6 +71,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use codesign_sim::ladder::AbstractionLevel;
+use codesign_trace::json::{self, Object};
 use codesign_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -873,7 +874,7 @@ impl ExploreOutcome {
     /// here.
     #[must_use]
     pub fn report_json(&self, space: &DesignSpace, cfg: &ExploreConfig) -> String {
-        self.report_json_with(space, cfg, &[])
+        self.report_json_with(space, cfg, |report| report)
     }
 
     /// The run report plus wall-clock context — throughput and host
@@ -894,101 +895,71 @@ impl ExploreOutcome {
         } else {
             self.stats.offered as f64 * 1e9 / wall_ns as f64
         };
-        self.report_json_with(
-            space,
-            cfg,
-            &[
-                ("wall_ns", format!("{wall_ns}")),
-                ("points_per_sec", format!("{pps:.1}")),
-                ("host_cores", format!("{host_cores}")),
-            ],
-        )
+        self.report_json_with(space, cfg, |report| {
+            report
+                .num("wall_ns", wall_ns)
+                .float("points_per_sec", pps, 1)
+                .num("host_cores", host_cores)
+        })
     }
 
     fn report_json_with(
         &self,
         space: &DesignSpace,
         cfg: &ExploreConfig,
-        extra: &[(&str, String)],
+        extra: impl FnOnce(Object) -> Object,
     ) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"report\": \"explore\",\n");
-        out.push_str(&format!("  \"spec\": \"{}\",\n", space.graph().name()));
-        out.push_str(&format!("  \"digest\": \"{:#018x}\",\n", space.digest()));
-        out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-        out.push_str(&format!("  \"budget\": {},\n", cfg.budget));
-        out.push_str(&format!("  \"workers\": {},\n", cfg.workers));
-        out.push_str(&format!("  \"pipeline_depth\": {},\n", cfg.pipeline_depth));
-        out.push_str(&format!("  \"cache\": {},\n", cfg.use_cache));
-        out.push_str(&format!(
-            "  \"eval_mode\": \"{}\",\n",
-            cfg.eval_mode.as_str()
-        ));
-        for (name, value) in extra {
-            out.push_str(&format!("  \"{name}\": {value},\n"));
-        }
-        out.push_str("  \"stats\": {\n");
-        out.push_str(&format!("    \"offered\": {},\n", self.stats.offered));
-        out.push_str(&format!("    \"rounds\": {},\n", self.stats.rounds));
-        out.push_str(&format!(
-            "    \"unique_points\": {},\n",
-            self.stats.unique_points
-        ));
-        out.push_str(&format!("    \"revisits\": {},\n", self.stats.revisits));
-        out.push_str(&format!(
-            "    \"revisit_rate\": {:.4},\n",
-            self.stats.revisit_rate()
-        ));
-        out.push_str(&format!("    \"infeasible\": {},\n", self.stats.infeasible));
-        out.push_str(&format!("    \"gated\": {},\n", self.stats.gated));
-        out.push_str(&format!(
-            "    \"dedup_skips\": {},\n",
-            self.stats.dedup_skips
-        ));
-        out.push_str(&format!(
-            "    \"delta_hit_rate\": {:.4},\n",
-            self.stats.delta_hit_rate()
-        ));
-        out.push_str(&format!("    \"front_size\": {}\n", self.archive.len()));
-        out.push_str("  },\n");
-        out.push_str("  \"front\": [\n");
-        let sorted = self.archive.sorted_entries();
-        for (i, e) in sorted.iter().enumerate() {
-            out.push_str(&entry_json(e, "    "));
-            out.push_str(if i + 1 < sorted.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        match self
+        let report = Object::block()
+            .str("report", "explore")
+            .str("spec", space.graph().name())
+            .str("digest", &format!("{:#018x}", space.digest()))
+            .num("seed", cfg.seed)
+            .num("budget", cfg.budget)
+            .num("workers", cfg.workers)
+            .num("pipeline_depth", cfg.pipeline_depth)
+            .num("cache", cfg.use_cache)
+            .str("eval_mode", cfg.eval_mode.as_str());
+        let stats = Object::block()
+            .num("offered", self.stats.offered)
+            .num("rounds", self.stats.rounds)
+            .num("unique_points", self.stats.unique_points)
+            .num("revisits", self.stats.revisits)
+            .float("revisit_rate", self.stats.revisit_rate(), 4)
+            .num("infeasible", self.stats.infeasible)
+            .num("gated", self.stats.gated)
+            .num("dedup_skips", self.stats.dedup_skips)
+            .float("delta_hit_rate", self.stats.delta_hit_rate(), 4)
+            .num("front_size", self.archive.len());
+        let front = self.archive.sorted_entries().into_iter().map(entry_json);
+        // `best` sits on the line after its key.
+        let best = self
             .archive
             .best_under(&Constraints::default(), &Weights::default())
-        {
-            Some(best) => {
-                out.push_str("  \"best\": \n");
-                out.push_str(&entry_json(best, "  "));
-                out.push('\n');
-            }
-            None => out.push_str("  \"best\": null\n"),
-        }
-        out.push_str("}\n");
-        out
+            .map_or_else(
+                || "null".to_string(),
+                |best| "\n".to_string() + &entry_json(best),
+            );
+        extra(report)
+            .raw("stats", &stats.finish())
+            .raw("front", &json::block_array(front))
+            .raw("best", &best)
+            .finish()
+            + "\n"
     }
 }
 
-fn entry_json(e: &crate::archive::ArchiveEntry, indent: &str) -> String {
-    format!(
-        "{indent}{{\"assignment\": \"{}\", \"quantum\": {}, \"level\": \"{}\", \
-         \"latency\": {}, \"hw_area\": {:.4}, \"cross_bytes\": {}, \"sync_rounds\": {}, \
-         \"makespan\": {}, \"cost\": {:.6}}}",
-        e.point.assignment_string(),
-        e.point.quantum,
-        e.point.level,
-        e.score.latency,
-        e.score.hw_area,
-        e.score.cross_bytes,
-        e.score.sync_rounds,
-        e.score.makespan,
-        e.score.cost,
-    )
+fn entry_json(e: &crate::archive::ArchiveEntry) -> String {
+    Object::inline()
+        .str("assignment", &e.point.assignment_string())
+        .num("quantum", e.point.quantum)
+        .str("level", &e.point.level.to_string())
+        .num("latency", e.score.latency)
+        .float("hw_area", e.score.hw_area, 4)
+        .num("cross_bytes", e.score.cross_bytes)
+        .num("sync_rounds", e.score.sync_rounds)
+        .num("makespan", e.score.makespan)
+        .float("cost", e.score.cost, 6)
+        .finish()
 }
 
 #[cfg(test)]

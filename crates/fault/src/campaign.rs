@@ -17,9 +17,8 @@
 //! Per-scenario counts always sum to the number of seeded runs, which
 //! the campaign gates assert.
 
-use std::fmt::Write as _;
-
 use codesign_sim::error::SimError;
+use codesign_trace::json::{self, Object};
 
 /// The outcome class of one seeded run (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,29 +165,27 @@ impl CampaignReport {
     /// byte-identical files.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut json = String::from("{\n  \"benchmark\": \"fault_campaign\",\n");
-        let _ = writeln!(json, "  \"seed_base\": {},", self.seed_base);
-        let _ = writeln!(json, "  \"seeds_per_scenario\": {},", self.seeds);
-        json.push_str("  \"classes\": [\"masked\", \"recovered\", \"detected\", \"watchdog\", \"corrupted\"],\n");
-        json.push_str("  \"scenarios\": [\n");
-        for (i, s) in self.scenarios.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "    {{\"scenario\": \"{}\", \"runs\": {}, \"masked\": {}, \"recovered\": {}, \
-                 \"detected\": {}, \"watchdog\": {}, \"corrupted\": {}, \"faults_injected\": {}}}{}",
-                s.scenario,
-                s.total(),
-                s.masked,
-                s.recovered,
-                s.detected,
-                s.watchdog,
-                s.corrupted,
-                s.faults_injected,
-                if i + 1 < self.scenarios.len() { "," } else { "" }
-            );
-        }
-        json.push_str("  ]\n}\n");
-        json
+        let classes = ["masked", "recovered", "detected", "watchdog", "corrupted"];
+        let scenarios = self.scenarios.iter().map(|s| {
+            Object::inline()
+                .str("scenario", &s.scenario)
+                .num("runs", s.total())
+                .num("masked", s.masked)
+                .num("recovered", s.recovered)
+                .num("detected", s.detected)
+                .num("watchdog", s.watchdog)
+                .num("corrupted", s.corrupted)
+                .num("faults_injected", s.faults_injected)
+                .finish()
+        });
+        Object::block()
+            .str("benchmark", "fault_campaign")
+            .num("seed_base", self.seed_base)
+            .num("seeds_per_scenario", self.seeds)
+            .raw("classes", &json::inline_array(classes.map(json::quote)))
+            .raw("scenarios", &json::block_array(scenarios))
+            .finish()
+            + "\n"
     }
 }
 

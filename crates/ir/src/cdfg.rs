@@ -15,13 +15,11 @@
 //! functionality of the system" role the paper assigns to co-simulation
 //! (Section 3.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IrError;
 
 /// Identifier of an operation (and of the value it produces) within one
 /// [`Cdfg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub(crate) u32);
 
 impl OpId {
@@ -50,7 +48,7 @@ impl std::fmt::Display for OpId {
 ///
 /// The class drives both the HLS resource model (`codesign-hls`) and the
 /// per-instruction timing model (`codesign-isa`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FuClass {
     /// Add/subtract/compare-style ALU operations.
     Alu,
@@ -88,7 +86,7 @@ impl std::fmt::Display for FuClass {
 }
 
 /// The operation performed by a CDFG node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum OpKind {
     /// External input with the given index.
@@ -192,7 +190,7 @@ impl OpKind {
 }
 
 /// One node of a [`Cdfg`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpNode {
     kind: OpKind,
     args: Vec<OpId>,
@@ -232,7 +230,7 @@ impl OpNode {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdfg {
     name: String,
     ops: Vec<OpNode>,

@@ -14,12 +14,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IrError;
 
 /// Identifier of a process within one [`ProcessNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub(crate) u32);
 
 impl ProcessId {
@@ -44,7 +42,7 @@ impl std::fmt::Display for ProcessId {
 }
 
 /// Identifier of a channel within one [`ProcessNetwork`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChannelId(pub(crate) u32);
 
 impl ChannelId {
@@ -69,7 +67,7 @@ impl std::fmt::Display for ChannelId {
 }
 
 /// One step of a process body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Busy computation for the given number of cycles.
     Compute(u64),
@@ -91,7 +89,7 @@ pub enum Action {
 }
 
 /// A point-to-point communication channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     name: String,
     capacity: usize,
@@ -113,12 +111,11 @@ impl Channel {
 
 /// A sequential process: a named body of [`Action`]s executed a fixed
 /// number of iterations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Process {
     name: String,
     actions: Vec<Action>,
     iterations: u32,
-    #[serde(default)]
     kernel: Option<String>,
 }
 
@@ -225,7 +222,7 @@ impl Process {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessNetwork {
     name: String,
     processes: Vec<Process>,

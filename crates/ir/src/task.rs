@@ -17,15 +17,13 @@
 //! *Concurrency* and *communication* are properties of the graph (edge data
 //! volumes and the precedence structure), not of single tasks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IrError;
 
 /// Identifier of a task within one [`TaskGraph`].
 ///
 /// Ids are dense indices assigned in insertion order; they are only
 /// meaningful relative to the graph that issued them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub(crate) u32);
 
 impl TaskId {
@@ -50,7 +48,7 @@ impl std::fmt::Display for TaskId {
 }
 
 /// One coarse-grain unit of work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     name: String,
     sw_cycles: u64,
@@ -170,7 +168,7 @@ impl Task {
 }
 
 /// A data dependence between two tasks carrying `bytes` of data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataEdge {
     /// Producer task.
     pub src: TaskId,
@@ -271,7 +269,7 @@ impl GraphIndex {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskGraph {
     name: String,
     tasks: Vec<Task>,

@@ -11,15 +11,13 @@
 //! divide, 2-cycle internal memory. Device accesses additionally pay bus
 //! cycles at run time (see [`crate::cpu`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::IsaError;
 
 /// Number of architectural registers.
 pub const NUM_REGS: usize = 16;
 
 /// An architectural register, `r0`–`r15`; `r0` is hard-wired to zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {
@@ -57,7 +55,7 @@ impl std::fmt::Display for Reg {
 }
 
 /// A binary ALU operation (register-register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// Wrapping add.
     Add,
@@ -139,7 +137,7 @@ impl AluOp {
 }
 
 /// A unary ALU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOp {
     /// Arithmetic negation.
     Neg,
@@ -165,7 +163,7 @@ impl UnaryOp {
 }
 
 /// A branch condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchCond {
     /// Branch if equal.
     Eq,
@@ -210,7 +208,7 @@ impl BranchCond {
 }
 
 /// One CR32 instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// `rd = rs1 <op> rs2`.
     Alu(AluOp, Reg, Reg, Reg),

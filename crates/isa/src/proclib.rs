@@ -8,10 +8,8 @@
 //! speed factors scale task software costs measured on the CR32 reference
 //! core.
 
-use serde::{Deserialize, Serialize};
-
 /// One processing-element type available to the allocator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorModel {
     name: String,
     speed: f64,

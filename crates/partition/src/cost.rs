@@ -10,10 +10,8 @@
 //! * The multi-threaded flow \[10\]: communication and concurrency aware —
 //!   nonzero `w_comm`/`w_concurrency`.
 
-use serde::{Deserialize, Serialize};
-
 /// Communication cost of one cross-boundary task-graph edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeCommModel {
     /// Fixed synchronization cost per transfer.
     pub setup_cycles: u64,
@@ -40,7 +38,7 @@ impl EdgeCommModel {
 
 /// Weights over the paper's six partitioning considerations plus an
 /// optional hard deadline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Objective {
     /// Hard end-to-end deadline in cycles (performance *requirement*).
     pub deadline: Option<u64>,

@@ -50,10 +50,8 @@ pub mod reconfig;
 
 pub use error::PartitionError;
 
-use serde::{Deserialize, Serialize};
-
 /// Which side of the boundary a task is implemented on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// Software on the instruction-set processor.
     Sw,
@@ -73,7 +71,7 @@ impl Side {
 }
 
 /// An assignment of every task to a side.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     sides: Vec<Side>,
 }

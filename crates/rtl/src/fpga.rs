@@ -12,13 +12,11 @@
 //! Timing is expressed in absolute cycle timestamps supplied by the
 //! caller, so the model composes with any of the co-simulation engines.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RtlError;
 
 /// A configuration that can be loaded into a region: a named functional
 /// unit with its area and per-invocation latency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitstream {
     /// Functional-unit name (e.g. `"fir8"`).
     pub name: String,

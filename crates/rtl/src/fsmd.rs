@@ -12,14 +12,12 @@
 //! state read the *old* register values and their writes become visible
 //! together at the next clock edge.
 
-use serde::{Deserialize, Serialize};
-
 use codesign_ir::cdfg::OpKind;
 
 use crate::error::RtlError;
 
 /// Identifier of a datapath register within one [`Fsmd`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegId(pub u32);
 
 impl RegId {
@@ -31,7 +29,7 @@ impl RegId {
 }
 
 /// Identifier of a controller state within one [`Fsmd`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub u32);
 
 impl StateId {
@@ -43,7 +41,7 @@ impl StateId {
 }
 
 /// A micro-operation operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operand {
     /// A datapath register.
     Reg(RegId),
@@ -54,7 +52,7 @@ pub enum Operand {
 }
 
 /// One register transfer: `dst <- op(args…)`, executed in a single state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroOp {
     /// Destination register.
     pub dst: RegId,
@@ -66,7 +64,7 @@ pub struct MicroOp {
 }
 
 /// Controller transition out of a state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Next {
     /// Fall through to the next state in index order.
     Step,
@@ -87,7 +85,7 @@ pub enum Next {
 
 /// One controller state: the register transfers it performs and where it
 /// goes next.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct State {
     /// Register transfers executed in parallel in this state.
     pub ops: Vec<MicroOp>,
@@ -96,7 +94,7 @@ pub struct State {
 }
 
 /// A complete FSMD: controller state table plus datapath shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fsmd {
     name: String,
     registers: u32,

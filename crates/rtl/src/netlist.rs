@@ -6,12 +6,10 @@
 //! emits "glue logic" (paper Figure 4) and in which gate counts — the
 //! *implementation cost* of Section 3.3 — are measured.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RtlError;
 
 /// Identifier of a net within one [`Netlist`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub(crate) u32);
 
 impl NetId {
@@ -33,7 +31,7 @@ impl std::fmt::Display for NetId {
 /// `And`/`Or`/`Nand`/`Nor` accept two or more inputs; `Xor`/`Xnor` exactly
 /// two; `Not`/`Buf` exactly one; `Mux2` exactly three (`[sel, d0, d1]`,
 /// output `d1` when `sel` is high).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// Logical and.
     And,
@@ -120,7 +118,7 @@ impl GateKind {
 }
 
 /// A combinational gate instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Gate {
     /// Gate function.
     pub kind: GateKind,
@@ -133,7 +131,7 @@ pub struct Gate {
 }
 
 /// A D flip-flop, clocked implicitly by [`crate::sim::Simulator::clock_cycle`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dff {
     /// Data input net.
     pub d: NetId,
@@ -144,7 +142,7 @@ pub struct Dff {
 }
 
 /// A flat gate-level netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     net_names: Vec<String>,

@@ -2,8 +2,8 @@
 //!
 //! Time-travel checkpointing (the `codesign-replay` crate) needs every
 //! simulation model to serialize its *mutable* state into a flat byte
-//! string and restore from it bit-exactly. The vendored `serde` is a
-//! no-op stand-in, so the codec is explicit: a [`StateWriter`] appends
+//! string and restore from it bit-exactly. The workspace has no
+//! serializer, so the codec is explicit: a [`StateWriter`] appends
 //! fixed-width little-endian fields and length-prefixed sequences, and
 //! a [`StateReader`] consumes them in the same order, failing with a
 //! typed [`RtlError::State`] on truncation or shape mismatch rather

@@ -23,7 +23,9 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::protocol::{escape, parse_request, reply_error};
+use codesign_trace::json::Object;
+
+use crate::protocol::{parse_request, reply_error};
 use crate::server::{Handle, JobRunner, Server, StatsSnapshot};
 
 /// What a dispatched line asked for.
@@ -37,11 +39,11 @@ enum Dispatch {
 
 /// The stats reply: final or in-flight counters addressed to `id`.
 fn reply_stats(id: &str, stats: &StatsSnapshot) -> String {
-    format!(
-        "{{\"id\":\"{}\",\"status\":\"stats\",\"stats\":{}}}",
-        escape(id),
-        stats.to_json()
-    )
+    Object::compact()
+        .str("id", id)
+        .str("status", "stats")
+        .raw("stats", &stats.to_json())
+        .finish()
 }
 
 fn dispatch_line<R: JobRunner>(line: &str, handle: &Handle<R>, tx: &Sender<String>) -> Dispatch {

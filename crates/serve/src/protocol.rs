@@ -26,54 +26,14 @@
 //! Malformed input never panics and never kills the connection: each
 //! bad line yields one `status:"error"` reply with a stable
 //! machine-readable code from [`RequestError::code`], and the reader
-//! moves on to the next line.
+//! moves on to the next line. Lines are parsed, and replies rendered,
+//! by `codesign_trace::json`, the workspace's one JSON module.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A scalar JSON value — the only value shape requests may carry.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A (fully unescaped) string.
-    Str(String),
-    /// An integer (no decimal point or exponent in the source).
-    Int(i64),
-    /// A floating-point number.
-    Float(f64),
-    /// A boolean.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl Value {
-    /// The string payload, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer payload, if this is an integer.
-    #[must_use]
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
+pub use codesign_trace::json::Value;
+use codesign_trace::json::{self, Object};
 
 /// Job priority: three classes, strict precedence at dequeue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -206,244 +166,25 @@ impl fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// Escapes a string for embedding in a JSON string literal.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: impl Into<String>) -> RequestError {
-        RequestError::BadJson {
-            detail: format!("{} at byte {}", what.into(), self.pos),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\r' || b == b'\n' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), RequestError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, RequestError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are rejected, not paired: the
-                            // protocol's payloads are reports this
-                            // workspace rendered, all BMP-or-escaped.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                        }
-                        other => {
-                            return Err(self.err(format!("unknown escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole character.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_scalar(&mut self, key: &str) -> Result<Value, RequestError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'{' | b'[') => Err(RequestError::UnsupportedValue {
-                key: key.to_string(),
-            }),
-            Some(b't') => self.parse_word("true", Value::Bool(true)),
-            Some(b'f') => self.parse_word("false", Value::Bool(false)),
-            Some(b'n') => self.parse_word("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(self.err(format!("unexpected `{}`", other as char))),
-            None => Err(self.err("unexpected end of line")),
-        }
-    }
-
-    fn parse_word(&mut self, word: &str, value: Value) -> Result<Value, RequestError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected `{word}`")))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, RequestError> {
-        let start = self.pos;
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        if float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| self.err(format!("bad number `{text}`")))
-        } else {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| self.err(format!("bad number `{text}`")))
-        }
-    }
-
-    /// Parses the whole line as a flat object.
-    fn parse_object(&mut self) -> Result<BTreeMap<String, Value>, RequestError> {
-        self.skip_ws();
-        if self.peek() != Some(b'{') {
-            // Distinguish "valid JSON, wrong shape" (array/scalar →
-            // `not_object`) from line noise (→ `bad_json`).
-            return match self.peek() {
-                Some(b'[') => Err(RequestError::NotObject),
-                Some(_) => match self.parse_scalar("") {
-                    Ok(_) if self.pos == self.bytes.len() => Err(RequestError::NotObject),
-                    Ok(_) => Err(self.err("trailing characters")),
-                    Err(RequestError::BadJson { detail }) => Err(RequestError::BadJson { detail }),
-                    Err(_) => Err(RequestError::NotObject),
-                },
-                None => Err(self.err("empty line")),
-            };
-        }
-        self.pos += 1;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                let key = self.parse_string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let value = self.parse_scalar(&key)?;
-                map.insert(key, value);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected `,` or `}`")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters after object"));
-        }
-        Ok(map)
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 /// Parses one request line. Never panics, whatever the input.
+///
+/// # Errors
+///
+/// The first thing wrong with the line, as a [`RequestError`].
 pub fn parse_request(line: &str) -> Result<Request, RequestError> {
-    let mut map = Parser::new(line).parse_object()?;
+    let detail = |e: json::Error| RequestError::BadJson {
+        detail: e.to_string(),
+    };
+    let Value::Object(members) = json::parse(line).map_err(detail)? else {
+        return Err(RequestError::NotObject);
+    };
+    let mut map = BTreeMap::new();
+    for (key, value) in members {
+        if matches!(value, Value::Array(_) | Value::Object(_)) {
+            return Err(RequestError::UnsupportedValue { key });
+        }
+        map.insert(key, value);
+    }
     let take_str = |map: &mut BTreeMap<String, Value>,
                     field: &'static str|
      -> Result<Option<String>, RequestError> {
@@ -492,36 +233,26 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 /// `attempts` says how many runs (1 = no retries) it took.
 #[must_use]
 pub fn reply_ok(id: &str, attempts: u32, result: &str) -> String {
-    format!(
-        "{{\"id\":\"{}\",\"status\":\"ok\",\"attempts\":{attempts},\"result\":\"{}\"}}",
-        escape(id),
-        escape(result)
-    )
+    Object::compact()
+        .str("id", id)
+        .str("status", "ok")
+        .num("attempts", attempts)
+        .str("result", result)
+        .finish()
 }
 
 /// Renders a terminal `error` reply with a stable machine code.
 #[must_use]
 pub fn reply_error(id: Option<&str>, code: &str, message: &str) -> String {
-    let id = match id {
-        Some(id) => format!("\"{}\"", escape(id)),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"id\":{id},\"status\":\"error\",\"code\":\"{}\",\"message\":\"{}\"}}",
-        escape(code),
-        escape(message)
-    )
+    refusal(id, "error", code, message)
 }
 
 /// Renders the load-shed reply: the queue was full and the job was
 /// **not** accepted. Explicit, never silent.
 #[must_use]
 pub fn reply_shed(id: &str, queued: usize, cap: usize) -> String {
-    format!(
-        "{{\"id\":\"{}\",\"status\":\"shed\",\"code\":\"overloaded\",\
-         \"message\":\"queue full ({queued}/{cap}); resubmit later\"}}",
-        escape(id)
-    )
+    let message = format!("queue full ({queued}/{cap}); resubmit later");
+    refusal(Some(id), "shed", "overloaded", &message)
 }
 
 /// Renders the drain rejection: the server is shutting down. Sent both
@@ -529,11 +260,25 @@ pub fn reply_shed(id: &str, queued: usize, cap: usize) -> String {
 /// flushed by the drain itself.
 #[must_use]
 pub fn reply_draining(id: &str) -> String {
-    format!(
-        "{{\"id\":\"{}\",\"status\":\"draining\",\"code\":\"draining\",\
-         \"message\":\"server is draining; job not run\"}}",
-        escape(id)
+    refusal(
+        Some(id),
+        "draining",
+        "draining",
+        "server is draining; job not run",
     )
+}
+
+/// The shape shared by every reply that carries no result.
+fn refusal(id: Option<&str>, status: &str, code: &str, message: &str) -> String {
+    let reply = match id {
+        Some(id) => Object::compact().str("id", id),
+        None => Object::compact().raw("id", "null"),
+    };
+    reply
+        .str("status", status)
+        .str("code", code)
+        .str("message", message)
+        .finish()
 }
 
 #[cfg(test)]
@@ -567,7 +312,7 @@ mod tests {
 
     #[test]
     fn every_malformed_shape_gets_its_own_code() {
-        let cases: [(&str, &str); 8] = [
+        let cases: [(&str, &str); 11] = [
             ("not json at all", "bad_json"),
             ("{\"id\":\"x\",", "bad_json"),
             ("[1,2,3]", "not_object"),
@@ -582,6 +327,15 @@ mod tests {
                 "bad_priority",
             ),
             (r#"{"id":"x","kind":"k","deadline_ms":-4}"#, "bad_field"),
+            // The whole line is parsed before shapes are checked, so a
+            // malformed nested value is a syntax error...
+            (r#"{"id":"x","kind":"k","v":[1,}"#, "bad_json"),
+            (r#"{"id":"x","kind":"k","n":01}"#, "bad_json"),
+            // ...and an integer beyond i64 parses as a float.
+            (
+                r#"{"id":"x","kind":"k","deadline_ms":99999999999999999999}"#,
+                "bad_field",
+            ),
         ];
         for (line, code) in cases {
             let err = parse_request(line).expect_err(line);
@@ -592,7 +346,10 @@ mod tests {
     #[test]
     fn string_escapes_round_trip() {
         let original = "line1\nline2\t\"quoted\" \\ end\u{1}";
-        let wire = format!(r#"{{"id":"{}","kind":"k"}}"#, escape(original));
+        let wire = Object::compact()
+            .str("id", original)
+            .str("kind", "k")
+            .finish();
         let r = parse_request(&wire).unwrap();
         assert_eq!(r.id, original);
     }

@@ -37,6 +37,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use codesign_trace::json::Object;
 use codesign_trace::Tracer;
 
 use crate::protocol::{reply_draining, reply_error, reply_ok, reply_shed, Request};
@@ -216,22 +217,19 @@ impl StatsSnapshot {
     /// One-line JSON rendering (the `stats` request's reply body).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"accepted\":{},\"ok\":{},\"failed\":{},\"shed\":{},\"drained\":{},\
-             \"rejected\":{},\"retried\":{},\"panicked\":{},\"watchdogged\":{},\
-             \"deadline_expired\":{},\"preempted\":{}}}",
-            self.accepted,
-            self.ok,
-            self.failed,
-            self.shed,
-            self.drained,
-            self.rejected,
-            self.retried,
-            self.panicked,
-            self.watchdogged,
-            self.deadline_expired,
-            self.preempted
-        )
+        Object::compact()
+            .num("accepted", self.accepted)
+            .num("ok", self.ok)
+            .num("failed", self.failed)
+            .num("shed", self.shed)
+            .num("drained", self.drained)
+            .num("rejected", self.rejected)
+            .num("retried", self.retried)
+            .num("panicked", self.panicked)
+            .num("watchdogged", self.watchdogged)
+            .num("deadline_expired", self.deadline_expired)
+            .num("preempted", self.preempted)
+            .finish()
     }
 }
 

@@ -9,19 +9,82 @@
 //! 3. drain during load loses no accepted job: every accepted job gets
 //!    exactly one terminal reply (`ok`, `error`, or `draining`),
 //!    whatever mix of panicking, flaky, and slow jobs is in flight when
-//!    the drain lands.
+//!    the drain lands;
+//! 4. `parse_request` never panics: any line gives a request or a
+//!    typed error with one of the stable codes.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::mpsc::channel;
 use std::time::Duration;
 
+use codesign_serve::parse_request;
 use codesign_serve::{
     backoff_schedule, BoundedQueue, JobError, JobRunner, Priority, Request, RetryConfig, Server,
     ServerConfig, SubmitOutcome,
 };
+use codesign_trace::json::{self, Value};
 use codesign_trace::Tracer;
 use proptest::prelude::*;
+
+/// Pieces of request lines, so random concatenations reach every
+/// branch of the request mapping, not just the first syntax check.
+const LINE_FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    "\\u",
+    "\\ud800",
+    "\"id\"",
+    "\"kind\"",
+    "\"priority\"",
+    "\"deadline_ms\"",
+    "\"chaos\"",
+    "\"x\"",
+    "\"high\"",
+    "\"urgent\"",
+    "-",
+    "0",
+    "7",
+    "1.5",
+    "1e999",
+    "99999999999999999999",
+    "true",
+    "null",
+    " ",
+    "\u{1}",
+    "é",
+    "😀",
+];
+
+fn request_line() -> impl Strategy<Value = String> {
+    let piece = prop_oneof![
+        (0..LINE_FRAGMENTS.len()).prop_map(|i| LINE_FRAGMENTS[i].to_string()),
+        any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('?').to_string()),
+    ];
+    proptest::collection::vec(piece, 0..40).prop_map(|parts| parts.concat())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Contract 4: request parsing is total.
+    #[test]
+    fn parse_request_never_panics(line in request_line()) {
+        if let Err(e) = parse_request(&line) {
+            let codes = [
+                "bad_json", "not_object", "unsupported_value", "missing_field", "bad_field",
+                "bad_priority",
+            ];
+            prop_assert!(codes.contains(&e.code()), "{}", e);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -170,12 +233,11 @@ proptest! {
         let replies: Vec<String> = rx.into_iter().collect();
         prop_assert_eq!(replies.len() as u64, accepted + not_accepted);
         // No reply id appears twice (no duplicated results).
-        let mut ids: Vec<&str> = replies
+        let mut ids: Vec<String> = replies
             .iter()
             .map(|r| {
-                let start = r.find("\"id\":\"").expect("id field") + 6;
-                let end = r[start..].find('"').expect("close quote") + start;
-                &r[start..end]
+                let reply = json::parse(r).expect("replies are JSON");
+                reply.get("id").and_then(Value::as_str).expect("id field").to_string()
             })
             .collect();
         ids.sort_unstable();

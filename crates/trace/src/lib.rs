@@ -34,9 +34,10 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-mod json;
+pub mod json;
 
 pub use json::validate_chrome_trace;
+use json::Object;
 
 /// One timeline in the trace (rendered as a named thread row in
 /// `chrome://tracing` / Perfetto). Obtained from [`Tracer::track`].
@@ -232,82 +233,68 @@ impl Tracer {
     ///
     /// Propagates I/O failures from `w`.
     pub fn write_chrome_json<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let (tracks, events) = match self.lock() {
-            Some(sink) => (sink.tracks.clone(), sink.events.clone()),
-            None => (BTreeMap::new(), Vec::new()),
-        };
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"displayTimeUnit\": \"ns\",")?;
-        writeln!(w, "  \"traceEvents\": [")?;
-        let mut first = true;
-        // Thread-name metadata first, so viewers label every track.
-        for (name, tid) in &tracks {
-            sep(w, &mut first)?;
-            write!(
-                w,
-                "    {{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
-                 \"args\": {{\"name\": {}}}}}",
-                json::quote(name)
-            )?;
-        }
-        for e in &events {
-            sep(w, &mut first)?;
-            write!(
-                w,
-                "    {{\"name\": {}, \"cat\": \"codesign\", \"ph\": \"{}\", \"ts\": {}, ",
-                json::quote(&e.name),
-                match e.phase {
-                    Phase::Span { .. } => "X",
-                    Phase::Instant => "i",
-                    Phase::Counter { .. } => "C",
-                },
-                e.ts
-            )?;
-            if let Phase::Span { dur } = e.phase {
-                write!(w, "\"dur\": {dur}, ")?;
-            }
-            if let Phase::Instant = e.phase {
-                write!(w, "\"s\": \"t\", ")?;
-            }
-            write!(w, "\"pid\": 1, \"tid\": {}, \"args\": {{", e.track.0)?;
-            match &e.phase {
-                Phase::Counter { value } => {
-                    write!(w, "{}: {value}", json::quote(&e.name))?;
-                }
-                _ => {
-                    for (i, (k, v)) in e.args.iter().enumerate() {
-                        if i > 0 {
-                            write!(w, ", ")?;
-                        }
-                        write!(w, "{}: ", json::quote(k))?;
-                        match v {
-                            Arg::U64(x) => write!(w, "{x}")?,
-                            Arg::I64(x) => write!(w, "{x}")?,
-                            Arg::F64(x) if x.is_finite() => write!(w, "{x}")?,
-                            // JSON has no NaN/Inf literal; stringify.
-                            Arg::F64(x) => write!(w, "{}", json::quote(&x.to_string()))?,
-                            Arg::Bool(x) => write!(w, "{x}")?,
-                            Arg::Str(s) => write!(w, "{}", json::quote(s))?,
-                        }
-                    }
-                }
-            }
-            write!(w, "}}}}")?;
-        }
-        if !first {
-            writeln!(w)?;
-        }
-        writeln!(w, "  ]")?;
-        writeln!(w, "}}")
+        w.write_all(self.to_chrome_json().as_bytes())
     }
 
     /// The trace as a Chrome trace-event JSON string.
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_chrome_json(&mut buf)
-            .expect("writing to a Vec cannot fail");
-        String::from_utf8(buf).expect("writer emits UTF-8")
+        let (tracks, events) = match self.lock() {
+            Some(sink) => (sink.tracks.clone(), sink.events.clone()),
+            None => (BTreeMap::new(), Vec::new()),
+        };
+        // Thread-name metadata first, so viewers label every track.
+        let names = tracks.iter().map(|(name, tid)| {
+            Object::inline()
+                .str("name", "thread_name")
+                .str("ph", "M")
+                .num("pid", 1)
+                .num("tid", tid)
+                .raw("args", &Object::inline().str("name", name).finish())
+                .finish()
+        });
+        let events = events.iter().map(|e| {
+            let ph = match e.phase {
+                Phase::Span { .. } => "X",
+                Phase::Instant => "i",
+                Phase::Counter { .. } => "C",
+            };
+            let mut event = Object::inline()
+                .str("name", &e.name)
+                .str("cat", "codesign")
+                .str("ph", ph)
+                .num("ts", e.ts);
+            event = match e.phase {
+                Phase::Span { dur } => event.num("dur", dur),
+                Phase::Instant => event.str("s", "t"),
+                Phase::Counter { .. } => event,
+            };
+            let args = match &e.phase {
+                Phase::Counter { value } => Object::inline().num(&e.name, value),
+                _ => e
+                    .args
+                    .iter()
+                    .fold(Object::inline(), |args, (k, v)| match v {
+                        Arg::U64(x) => args.num(k, x),
+                        Arg::I64(x) => args.num(k, x),
+                        Arg::F64(x) if x.is_finite() => args.num(k, x),
+                        // JSON has no NaN/Inf literal; stringify.
+                        Arg::F64(x) => args.str(k, &x.to_string()),
+                        Arg::Bool(x) => args.num(k, x),
+                        Arg::Str(s) => args.str(k, s),
+                    }),
+            };
+            event
+                .num("pid", 1)
+                .num("tid", e.track.0)
+                .raw("args", &args.finish())
+                .finish()
+        });
+        Object::block()
+            .str("displayTimeUnit", "ns")
+            .raw("traceEvents", &json::block_array(names.chain(events)))
+            .finish()
+            + "\n"
     }
 
     /// Writes the trace to a file at `path`.
@@ -319,15 +306,6 @@ impl Tracer {
         let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
         self.write_chrome_json(&mut f)
     }
-}
-
-fn sep<W: Write>(w: &mut W, first: &mut bool) -> std::io::Result<()> {
-    if *first {
-        *first = false;
-    } else {
-        writeln!(w, ",")?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -10,6 +10,24 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+# Every JSON byte the workspace writes or reads goes through
+# `codesign_trace::json` (crates/trace/src/json.rs). Fail if serde comes
+# back, or if non-test source (crates/*/src up to a file's
+# `#[cfg(test)]` module) spells a JSON object in a format string.
+echo "== one JSON module: no serde, no hand-written JSON objects =="
+if git ls-files --cached --others --exclude-standard -- '*Cargo.toml' ':!perfbench' Cargo.lock |
+    xargs grep -n serde; then
+    echo "verify: serde is named above; use codesign_trace::json instead" >&2
+    exit 1
+fi
+sprawl=$(find crates/*/src -name '*.rs' ! -path crates/trace/src/json.rs -print0 |
+    xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } index($0, "{{\\\"") { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$sprawl" ]; then
+    echo "$sprawl"
+    echo "verify: JSON object literals above; build them with codesign_trace::json::Object" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 

@@ -16,8 +16,7 @@ fn codesign(args: &[&str]) -> (String, String, bool) {
 }
 
 fn spec_file() -> tempfile::TempPath {
-    let mut f = tempfile::NamedTempFile::new().expect("temp file");
-    f.write_all(
+    write_spec(
         b"system demo\n\
           task a sw=2000 hw=200 area=20 par=0.8\n\
           task b sw=8000 hw=500 area=60 par=0.9\n\
@@ -35,7 +34,11 @@ fn spec_file() -> tempfile::TempPath {
             compute 4000\n\
           end\n",
     )
-    .expect("writes");
+}
+
+fn write_spec(text: &[u8]) -> tempfile::TempPath {
+    let mut f = tempfile::NamedTempFile::new().expect("temp file");
+    f.write_all(text).expect("writes");
     f.into_temp_path()
 }
 
@@ -375,6 +378,42 @@ fn partition_emits_machine_readable_json() {
     assert!(
         !out.contains("makespan "),
         "human table must be suppressed under --json: {out}"
+    );
+}
+
+/// A `.cds` name is any token without `#`, `;` or whitespace, so it may
+/// hold `"` and `\`; the JSON reports must escape both.
+#[test]
+fn json_reports_escape_quotes_and_backslashes_in_names() {
+    use codesign::trace::json::{self, Value};
+    let path = write_spec(
+        b"system audio\"co\\dec\n\
+          task mi\"x sw=2000 hw=200 area=20\n\
+          task b\\s sw=8000 hw=500 area=60\n\
+          edge mi\"x -> b\\s bytes=64\n",
+    );
+    let spec = path.to_str().unwrap();
+    let str_of = |v: Option<&Value>| v.and_then(Value::as_str).map(str::to_string);
+
+    let (out, err, ok) = codesign(&["partition", spec, "--json"]);
+    assert!(ok, "{err}");
+    let report = json::parse(&out).unwrap_or_else(|e| panic!("{e}: {out}"));
+    assert_eq!(
+        str_of(report.get("system")).as_deref(),
+        Some("audio\"co\\dec")
+    );
+    let Some(Value::Array(tasks)) = report.get("tasks") else {
+        panic!("no task list: {out}")
+    };
+    let names: Vec<_> = tasks.iter().filter_map(|t| str_of(t.get("name"))).collect();
+    assert_eq!(names, ["mi\"x", "b\\s"]);
+
+    let (out, err, ok) = codesign(&["explore", spec, "--budget", "8", "--json"]);
+    assert!(ok, "{err}");
+    let report = json::parse(&out).unwrap_or_else(|e| panic!("{e}: {out}"));
+    assert_eq!(
+        str_of(report.get("spec")).as_deref(),
+        Some("audio\"co\\dec")
     );
 }
 
