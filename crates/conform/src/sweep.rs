@@ -8,11 +8,14 @@
 //! * every 17th index runs a **degenerate shape** (all-floors, maximum
 //!   back-pressure, maximum width, IRQ-only) instead of a random draw —
 //!   corners are where abstractions crack;
-//! * every 13th index also runs an **engine-parity differential**: the
-//!   one-shot message simulator against the event-driven
-//!   [`MessageEngine`](codesign_sim::message::MessageEngine) on a random
-//!   TGFF process network (finish-time is compared exactly; it is part
-//!   of the parity contract between the two kernels);
+//! * every 13th index also runs an **engine-parity differential** on a
+//!   random TGFF process network: the standalone message simulator (one
+//!   [`MessageEngine`](codesign_sim::message::MessageEngine) driven to
+//!   completion in one horizon) against the same network as an engine
+//!   under a lookahead [`Coordinator`] with a seeded quantum — the
+//!   split-horizon run the cosim flow reports from. Every report field,
+//!   finish time included, must agree exactly: the engine's contract is
+//!   that subdividing the horizon changes nothing;
 //! * every [`SweepConfig::lockstep_every`]-th index runs a clean
 //!   ISS-vs-pin **lockstep** pass, after the deliberate-fault
 //!   [`self_test`](crate::lockstep::self_test) has proven the checker
@@ -32,7 +35,7 @@ use codesign_ir::workload::sysgen::{
     random_placement_flags, random_system, SysConfig, MAX_IRQ_BYTES,
 };
 use codesign_ir::workload::tgff::{random_process_network, NetworkConfig};
-use codesign_sim::engine::SimEngine;
+use codesign_sim::engine::Coordinator;
 use codesign_sim::ladder::AbstractionLevel;
 use codesign_sim::message::{simulate, MessageConfig, MessageEngine, Placement, Resource};
 use codesign_trace::json::{self, Object};
@@ -217,8 +220,9 @@ fn harness_error(seed: u64, stage: &'static str, e: &ConformError) -> Divergence
     }
 }
 
-/// Compares the one-shot simulator and the event-driven engine on a
-/// random process network derived from `seed`.
+/// Compares the standalone simulator with the same network run under a
+/// coordinator at a seeded quantum, on a random process network derived
+/// from `seed`.
 fn engine_parity(seed: u64, out: &mut Vec<Divergence>) {
     let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ 0xE261_0E5F));
     let net_cfg = NetworkConfig {
@@ -229,6 +233,7 @@ fn engine_parity(seed: u64, out: &mut Vec<Divergence>) {
         iterations: rng.gen_range(1..=8),
         seed: splitmix64(seed),
     };
+    let quantum = rng.gen_range(1..=64);
     let net = random_process_network(&net_cfg);
     let flags = random_placement_flags(net.len(), splitmix64(seed ^ 0x9A9A));
     let placement = Placement::from_assignment(
@@ -244,18 +249,19 @@ fn engine_parity(seed: u64, out: &mut Vec<Divergence>) {
             .collect(),
     );
     let config = MessageConfig::default();
-    let oneshot = match simulate(&net, &placement, &config) {
+    let standalone = match simulate(&net, &placement, &config) {
         Ok(r) => r,
         Err(e) => {
             out.push(Divergence {
                 seed,
                 check: "engine-parity",
-                detail: format!("one-shot simulator failed: {e}"),
+                detail: format!("standalone simulator failed: {e}"),
             });
             return;
         }
     };
-    let mut engine = match MessageEngine::new("parity", net, placement, config) {
+    let budget = config.budget;
+    let engine = match MessageEngine::new("parity", net, placement, config) {
         Ok(e) => e,
         Err(e) => {
             out.push(Divergence {
@@ -266,44 +272,27 @@ fn engine_parity(seed: u64, out: &mut Vec<Divergence>) {
             return;
         }
     };
-    while !engine.is_done() {
-        if let Err(e) = engine.advance_to(u64::MAX) {
-            out.push(Divergence {
-                seed,
-                check: "engine-parity",
-                detail: format!("engine failed: {e}"),
-            });
-            return;
-        }
+    let mut coord = Coordinator::new(quantum);
+    coord.add_engine(Box::new(engine));
+    if let Err(e) = coord.run(budget) {
+        out.push(Divergence {
+            seed,
+            check: "engine-parity",
+            detail: format!("engine failed under quantum {quantum}: {e}"),
+        });
+        return;
     }
-    let stepped = engine.report();
-    let pairs: [(&str, u64, u64); 5] = [
-        ("messages", oneshot.messages, stepped.messages),
-        ("bytes", oneshot.bytes, stepped.bytes),
-        (
-            "cross_boundary_bytes",
-            oneshot.cross_boundary_bytes,
-            stepped.cross_boundary_bytes,
-        ),
-        ("events", oneshot.events, stepped.events),
-        ("finish_time", oneshot.finish_time, stepped.finish_time),
-    ];
-    for (what, a, b) in pairs {
-        if a != b {
-            out.push(Divergence {
-                seed,
-                check: "engine-parity",
-                detail: format!("{what}: one-shot {a} vs engine {b}"),
-            });
-        }
-    }
-    if oneshot.per_channel_bytes != stepped.per_channel_bytes {
+    let coordinated = coord.engines()[0]
+        .as_any()
+        .downcast_ref::<MessageEngine>()
+        .expect("the parity coordinator runs one message engine")
+        .report();
+    if standalone != *coordinated {
         out.push(Divergence {
             seed,
             check: "engine-parity",
             detail: format!(
-                "per_channel_bytes: one-shot {:?} vs engine {:?}",
-                oneshot.per_channel_bytes, stepped.per_channel_bytes
+                "quantum {quantum}: standalone {standalone:?} vs coordinated {coordinated:?}"
             ),
         });
     }

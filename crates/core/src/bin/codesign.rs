@@ -16,25 +16,24 @@
 //!
 //! Run `codesign help` for the options of each subcommand.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use codesign::explore::{
-    explore_with_cache, Constraints, DesignSpace, ExploreConfig, SpaceConfig, Weights,
+    persist_session, preload_cache, Constraints, EvalCache, EvalMode, Weights,
 };
 use codesign::fault::FaultPlan;
 use codesign::ir::spec::SystemSpec;
-use codesign::partition::algorithms::{
-    gclp, hw_first, kernighan_lin, portfolio, simulated_annealing, sw_first, AnnealingSchedule,
-};
-use codesign::partition::area::{NaiveArea, SharedArea};
-use codesign::partition::cost::Objective;
-use codesign::partition::eval::EvalConfig;
 use codesign::replay::{bisect_divergence, serve as gdb_serve, DebugSession};
 use codesign::resilience::{
-    build_scenario, campaign_table, run_campaign_traced, CampaignConfig, RUN_BUDGET, SCENARIOS,
+    build_scenario, campaign_table, run_campaign_traced, RUN_BUDGET, SCENARIOS,
 };
-use codesign::serve::{serve_lines, serve_tcp, RetryConfig, Server, ServerConfig};
-use codesign::servejobs::{cosim_report_json, run_cosim, CodesignRunner, CosimParams};
+use codesign::serve::{serve_lines, serve_tcp, JobError, RetryConfig, Server, ServerConfig};
+use codesign::servejobs::{
+    cosim_report_json, process_network, resolve_conform, resolve_cosim, resolve_explore,
+    resolve_faults, run_cosim, run_explore, run_partition, task_graph, CodesignRunner, Params,
+};
 use codesign::sim::ladder::{run_ladder_traced, timing_errors, LadderConfig};
 use codesign::synth::multiproc::{
     bin_packing, branch_and_bound, sensitivity_driven, MultiprocConfig,
@@ -59,8 +58,7 @@ USAGE:
       as machine-readable JSON instead of the table.
 
   codesign explore <spec.cds> [--budget N] [--threads N] [--seed N]
-                   [--workers N] [--depth N] [--eval delta|full]
-                   [--cache-file FILE]
+                   [--workers N] [--eval delta|full] [--cache-file FILE]
                    [--objective perf|cost|concurrency] [--deadline N]
                    [--sharing] [--json] [--out FILE] [--trace FILE]
       Explore the joint design space of the spec's task-graph view: HW/SW
@@ -74,21 +72,21 @@ USAGE:
       (assignment, level) class. `--eval full` keeps the one-sim-per-
       point oracle. Evaluations are memoized in a sharded content-
       addressed cache and pipelined over a persistent pool of
-      `--threads` evaluators (`--depth` rounds deep), and survivors land
-      in a Pareto archive. `--cache-file` warm-starts from (and appends
-      new evaluations to) a persistent cache file. The archive is byte-
-      identical for any `--threads` and either `--eval` mode, cold or
-      warm, at a fixed seed. `--json` prints the JSON report (plus
-      wall-clock `points_per_sec` and `host_cores`) to stdout; `--out`
-      writes the deterministic report to a file.
+      `--threads` evaluators, and survivors land in a Pareto archive.
+      `--cache-file` warm-starts from (and appends new evaluations to) a
+      persistent cache file. The archive is byte-identical for any
+      `--threads` and either `--eval` mode, cold or warm, at a fixed
+      seed. `--json` prints the JSON report (plus wall-clock
+      `points_per_sec` and `host_cores`) to stdout; `--out` writes the
+      deterministic report to a file.
 
   codesign cosim <spec.cds> [--hw name1,name2] [--budget K] [--quantum N]
                  [--json] [--trace FILE]
       Message-level co-simulation of the spec's process-network view.
       `--hw` pins processes to hardware; `--budget K` instead searches for
       the best K-process hardware set (communication/concurrency aware).
-      The chosen placement is then mounted under the conservative
-      coordinator (sync quantum `--quantum`, default 16) and the report
+      The chosen placement is then simulated once, under the conservative
+      coordinator (sync quantum `--quantum`, default 16), and the report
       shows its synchronization rounds, lookahead skips, and final skew.
       `--json` emits the same report as machine-readable JSON.
 
@@ -159,15 +157,20 @@ USAGE:
       all four interface levels, and check every architected observable
       (per-channel payload bytes, interrupt counts, final architectural
       state, channel completion order) plus the per-level modeled
-      cycle-error bounds. Interleaved passes run the one-shot-vs-engine
-      message-kernel differential and an ISS-vs-pin lockstep check whose
-      deliberate-fault self-test must fire before any verdict counts
-      (`--no-lockstep` demonstrates the loud failure). Any divergence is
-      shrunk to a minimal generator config and the command exits
-      nonzero. The report is byte-identical at any `--threads`.
+      cycle-error bounds. Interleaved passes run a standalone-vs-
+      coordinated message-engine differential and an ISS-vs-pin
+      lockstep check whose deliberate-fault self-test must fire before
+      any verdict counts (`--no-lockstep` demonstrates the loud
+      failure). Any divergence is shrunk to a minimal generator config
+      and the command exits nonzero. The report is byte-identical at
+      any `--threads`.
 
   codesign help
       Show this message.
+
+  partition, explore, cosim, faults and conform read their flags as the
+  matching served job kinds read their fields (`--seed-base` is
+  `seed_base`), with the same bounds; only defaults may differ.
 
   `--trace FILE` writes a Chrome trace-event JSON file of the run (open
   it in chrome://tracing or https://ui.perfetto.dev): per-level harness
@@ -234,6 +237,44 @@ where
     }
 }
 
+/// CLI argv as a job-parameter source: the key `seed_base` reads the
+/// flag `--seed-base`, and a switch is on when its flag is present.
+struct Argv<'a>(&'a [String]);
+
+fn flag_name(key: &str) -> String {
+    format!("--{}", key.replace('_', "-"))
+}
+
+impl Params for Argv<'_> {
+    fn str(&self, key: &str) -> Result<Option<&str>, JobError> {
+        Ok(flag_value(self.0, &flag_name(key)))
+    }
+
+    fn int(&self, key: &str, lo: u64, hi: u64) -> Result<Option<u64>, JobError> {
+        let name = flag_name(key);
+        let Some(v) = flag_value(self.0, &name) else {
+            return Ok(None);
+        };
+        let invalid = |why: String| {
+            JobError::permanent(
+                "bad_field",
+                format!("invalid value `{v}` for {name}: {why}"),
+            )
+        };
+        let n: u64 = v
+            .parse()
+            .map_err(|e: std::num::ParseIntError| invalid(e.to_string()))?;
+        if n < lo || n > hi {
+            return Err(invalid(format!("out of range {lo}..={hi}")));
+        }
+        Ok(Some(n))
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, JobError> {
+        Ok(has_flag(self.0, &flag_name(key)))
+    }
+}
+
 /// An enabled tracer when `--trace FILE` was given, a disabled one
 /// otherwise, plus the target path.
 fn trace_flag(args: &[String]) -> (Tracer, Option<&str>) {
@@ -261,8 +302,7 @@ fn load_spec(args: &[String]) -> Result<SystemSpec, Box<dyn std::error::Error>> 
         .iter()
         .find(|a| !a.starts_with("--"))
         .ok_or("missing <spec.cds> argument")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    Ok(SystemSpec::parse(&text)?)
+    Ok(codesign::servejobs::load_spec(path)?)
 }
 
 fn cmd_classify() -> Result<(), Box<dyn std::error::Error>> {
@@ -277,73 +317,23 @@ fn cmd_classify() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Resolves the shared `--objective`/`--deadline` flags against a task
-/// graph (the deadline defaults to the spec's `deadline` line). Used by
-/// both `partition` and `explore` so the two commands price designs the
-/// same way.
-fn objective_flags(
-    args: &[String],
-    graph: &codesign::ir::task::TaskGraph,
-) -> Result<(Objective, Option<u64>), Box<dyn std::error::Error>> {
-    let deadline = parsed_flag::<u64>(args, "--deadline")?.or_else(|| graph.deadline());
-    let objective = match (flag_value(args, "--objective"), deadline) {
-        (Some("cost"), Some(d)) => Objective::cost_driven(d),
-        (Some("concurrency"), Some(d)) => Objective::concurrency_aware(d),
-        (Some("perf") | None, Some(d)) => Objective::performance_driven(d),
-        (Some(o), Some(_)) => return Err(format!("unknown objective `{o}`").into()),
-        (_, None) => Objective::default(),
-    };
-    Ok((objective, deadline))
-}
-
 fn cmd_partition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let spec = load_spec(args)?;
-    let graph = spec
-        .task_graph()
-        .ok_or("the spec declares no tasks; `partition` needs the task-graph view")?;
-    let (objective, deadline) = objective_flags(args, graph)?;
-    let shared;
-    let naive = NaiveArea;
-    let area: &dyn codesign::partition::area::HwAreaModel = if has_flag(args, "--sharing") {
-        shared = SharedArea::from_graph(graph);
-        &shared
-    } else {
-        &naive
-    };
-    let config = EvalConfig::new(objective, area);
-    let (partition, eval) = match flag_value(args, "--algorithm").unwrap_or("kl") {
-        "kl" => kernighan_lin(graph, &config)?,
-        "sw" => sw_first(graph, &config)?,
-        "hw" => hw_first(graph, &config)?,
-        "gclp" => gclp(graph, &config)?,
-        "sa" => simulated_annealing(graph, &config, &AnnealingSchedule::default(), 1)?,
-        "portfolio" => portfolio(graph, &config)?,
-        other => return Err(format!("unknown algorithm `{other}`").into()),
-    };
+    let graph = task_graph(&spec, "partition")?;
+    let run = run_partition(&Argv(args), graph)?;
     if has_flag(args, "--json") {
-        // The renderer is shared with the job server so `codesign serve`
-        // results stay byte-identical to this command's output.
-        print!(
-            "{}",
-            codesign::servejobs::partition_report_json(
-                spec.name(),
-                flag_value(args, "--algorithm").unwrap_or("kl"),
-                graph,
-                &partition,
-                &eval,
-                deadline,
-            )
-        );
+        print!("{}", run.report_json(spec.name(), graph));
         return Ok(());
     }
+    let eval = &run.eval;
     println!("system `{}` — partition:", spec.name());
     for (id, task) in graph.iter() {
-        println!("  {:<16} {:?}", task.name(), partition.side(id));
+        println!("  {:<16} {:?}", task.name(), run.partition.side(id));
     }
     println!(
         "\nmakespan {} cycles{}, hardware area {:.1}, {} bytes cross the boundary, cost {:.4}",
         eval.makespan,
-        deadline.map_or(String::new(), |d| format!(
+        run.deadline.map_or(String::new(), |d| format!(
             " (deadline {d}: {})",
             if eval.meets_deadline { "met" } else { "MISSED" }
         )),
@@ -354,51 +344,50 @@ fn cmd_partition(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_explore(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let spec = load_spec(args)?;
-    let graph = spec
-        .task_graph()
-        .ok_or("the spec declares no tasks; `explore` needs the task-graph view")?;
-    let (objective, _) = objective_flags(args, graph)?;
-    let space_cfg = SpaceConfig {
-        objective,
-        sharing_aware: has_flag(args, "--sharing"),
-        ..SpaceConfig::default()
-    };
-    let space = DesignSpace::new(graph.clone(), space_cfg);
-    let eval_mode = match flag_value(args, "--eval") {
-        None | Some("delta") => codesign::explore::EvalMode::Delta,
-        Some("full") => codesign::explore::EvalMode::Full,
-        Some(other) => return Err(format!("unknown --eval mode `{other}` (delta|full)").into()),
-    };
-    let cfg = ExploreConfig {
-        seed: parsed_flag(args, "--seed")?.unwrap_or(42),
-        budget: parsed_flag(args, "--budget")?.unwrap_or(256),
-        threads: parsed_flag::<usize>(args, "--threads")?.unwrap_or(1).max(1),
-        workers: parsed_flag::<usize>(args, "--workers")?.unwrap_or(8).max(1),
-        pipeline_depth: parsed_flag::<usize>(args, "--depth")?.unwrap_or(1),
-        eval_mode,
-        ..ExploreConfig::default()
-    };
-    let (tracer, trace_path) = trace_flag(args);
-    let cache_file = flag_value(args, "--cache-file").map(std::path::PathBuf::from);
-    let cache = codesign::explore::EvalCache::new();
-    if let Some(path) = &cache_file {
-        let loaded = codesign::explore::preload_cache(&cache, path)
+/// The eval-cache store behind `explore` and `serve`, warm-started from
+/// `--cache-file` when one is given, and the path to persist it to.
+fn open_store(
+    args: &[String],
+) -> Result<(Arc<EvalCache>, Option<PathBuf>), Box<dyn std::error::Error>> {
+    let store = Arc::new(EvalCache::new());
+    let path = flag_value(args, "--cache-file").map(PathBuf::from);
+    if let Some(path) = &path {
+        let loaded = preload_cache(&store, path)
             .map_err(|e| format!("cannot load cache file `{}`: {e}", path.display()))?;
         if loaded > 0 {
             eprintln!("cache-file: warm start with {loaded} entries");
         }
     }
-    let t0 = std::time::Instant::now();
-    let outcome = explore_with_cache(&space, &cfg, cache, &tracer);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if let Some(path) = &cache_file {
-        let appended = codesign::explore::persist_session(&outcome.cache, path)
+    Ok((store, path))
+}
+
+/// Crash-safely appends the entries this session added to the store to
+/// the `--cache-file`, if one was given.
+fn persist_store(store: &EvalCache, path: Option<&Path>) -> Result<(), Box<dyn std::error::Error>> {
+    if let Some(path) = path {
+        let appended = persist_session(store, path)
             .map_err(|e| format!("cannot persist cache file `{}`: {e}", path.display()))?;
         eprintln!("cache-file: {} new entries -> {}", appended, path.display());
     }
+    Ok(())
+}
+
+fn cmd_explore(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+    let spec = load_spec(args)?;
+    let (space, mut cfg) = resolve_explore(&Argv(args), task_graph(&spec, "explore")?)?;
+    cfg.threads = parsed_flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
+    cfg.eval_mode = match flag_value(args, "--eval") {
+        None | Some("delta") => EvalMode::Delta,
+        Some("full") => EvalMode::Full,
+        Some(other) => return Err(format!("unknown --eval mode `{other}` (delta|full)").into()),
+    };
+    let (tracer, trace_path) = trace_flag(args);
+    let (store, cache_file) = open_store(args)?;
+    let t0 = std::time::Instant::now();
+    let outcome = run_explore(&store, &space, &cfg, &tracer);
+    let wall_ns = t0.elapsed().as_nanos() as u64;
+    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    persist_store(&store, cache_file.as_deref())?;
     // `--out` writes the deterministic report (reproducible across
     // machines); stdout `--json` adds throughput and host shape for
     // cross-run trajectory comparisons.
@@ -478,20 +467,9 @@ fn cmd_explore(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_cosim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let spec = load_spec(args)?;
-    let net = spec
-        .network()
-        .ok_or("the spec declares no processes; `cosim` needs the process view")?;
+    let net = process_network(&spec)?;
+    let params = resolve_cosim(&Argv(args), net)?;
     let (tracer, trace_path) = trace_flag(args);
-    // The flow (placement, message-level run, coordinator mount) is
-    // shared with the job server so served `cosim` results stay
-    // byte-identical to this command's `--json` output.
-    let params = CosimParams {
-        hw: flag_value(args, "--hw")
-            .map(|v| v.split(',').map(ToString::to_string).collect())
-            .unwrap_or_default(),
-        budget: parsed_flag(args, "--budget")?,
-        quantum: parsed_flag(args, "--quantum")?.unwrap_or(16),
-    };
     let outcome =
         run_cosim(net, &params, &tracer).map_err(|e| format!("{}: {}", e.code, e.message))?;
     if has_flag(args, "--json") {
@@ -526,15 +504,7 @@ fn cmd_cosim(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (tracer, trace_path) = trace_flag(args);
-    let store = std::sync::Arc::new(codesign::explore::EvalCache::new());
-    let cache_file = flag_value(args, "--cache-file").map(std::path::PathBuf::from);
-    if let Some(path) = &cache_file {
-        let loaded = codesign::explore::preload_cache(&store, path)
-            .map_err(|e| format!("cannot load cache file `{}`: {e}", path.display()))?;
-        if loaded > 0 {
-            eprintln!("cache-file: warm start with {loaded} entries");
-        }
-    }
+    let (store, cache_file) = open_store(args)?;
     let cfg = ServerConfig {
         workers: parsed_flag::<usize>(args, "--workers")?.unwrap_or(4).max(1),
         queue_capacity: parsed_flag::<usize>(args, "--queue-cap")?
@@ -548,7 +518,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         },
         ..ServerConfig::default()
     };
-    let runner = CodesignRunner::new(std::sync::Arc::clone(&store), tracer.clone());
+    let runner = CodesignRunner::new(Arc::clone(&store), tracer.clone());
     let server = Server::new(runner, cfg, &tracer);
     let stats = if let Some(addr) = flag_value(args, "--addr") {
         let listener =
@@ -560,12 +530,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let stdout = std::io::stdout();
         serve_lines(server, stdin.lock(), stdout.lock())?
     };
-    if let Some(path) = &cache_file {
-        // Crash-safe append: only the entries this serving session added.
-        let appended = codesign::explore::persist_session(&store, path)
-            .map_err(|e| format!("cannot persist cache file `{}`: {e}", path.display()))?;
-        eprintln!("cache-file: {} new entries -> {}", appended, path.display());
-    }
+    persist_store(&store, cache_file.as_deref())?;
     eprintln!("served: {}", stats.to_json());
     save_trace(&tracer, trace_path)?;
     Ok(())
@@ -575,12 +540,7 @@ fn cmd_faults(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if has_flag(args, "--bisect") {
         return cmd_faults_bisect(args);
     }
-    let config = CampaignConfig {
-        seeds: parsed_flag(args, "--seeds")?.unwrap_or(32),
-        seed_base: parsed_flag(args, "--seed-base")?.unwrap_or(0xC0DE),
-        scenario: flag_value(args, "--scenario").map(ToString::to_string),
-        ..CampaignConfig::default()
-    };
+    let config = resolve_faults(&Argv(args))?;
     let out = flag_value(args, "--out").unwrap_or("BENCH_faults.json");
     let (tracer, trace_path) = trace_flag(args);
     let report = run_campaign_traced(&config, &tracer)?;
@@ -712,16 +672,11 @@ fn cmd_conform(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         conformance_fails, report_json, run_sweep, sys_config, SweepConfig,
     };
 
-    let smoke = has_flag(args, "--smoke");
-    let lockstep = !has_flag(args, "--no-lockstep");
-    let cfg = SweepConfig {
-        systems: parsed_flag(args, "--systems")?.unwrap_or(if smoke { 40 } else { 1000 }),
-        seed: parsed_flag(args, "--seed")?.unwrap_or(42),
-        threads: parsed_flag::<usize>(args, "--threads")?.unwrap_or(1).max(1),
-        lockstep,
-        ..SweepConfig::default()
-    };
-    if !lockstep {
+    let default_systems = if has_flag(args, "--smoke") { 40 } else { 1000 };
+    let mut cfg = resolve_conform(&Argv(args), default_systems)?;
+    cfg.threads = parsed_flag::<usize>(args, "--threads")?.unwrap_or(1).max(1);
+    cfg.lockstep = !has_flag(args, "--no-lockstep");
+    if !cfg.lockstep {
         // A disabled checker certifies nothing — prove it, loudly.
         let refused = codesign::conform::lockstep::self_test(false)
             .expect_err("a disabled lockstep checker must never pass its self-test");
@@ -923,6 +878,18 @@ mod tests {
         assert_eq!(
             err_of(&["debug", "--gdb", "127.0.0.1:0", "--iterations", "1e3"]),
             "invalid value `1e3` for --iterations: invalid digit found in string"
+        );
+    }
+
+    #[test]
+    fn job_flags_follow_the_parsed_flag_convention() {
+        assert_eq!(
+            err_of(&["faults", "--seed-base", "0xzz"]),
+            "invalid value `0xzz` for --seed-base: invalid digit found in string"
+        );
+        assert_eq!(
+            err_of(&["conform", "--systems", "0"]),
+            "invalid value `0` for --systems: out of range 1..=100000"
         );
     }
 

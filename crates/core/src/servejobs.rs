@@ -1,22 +1,20 @@
-//! The concrete job registry behind `codesign serve`.
+//! One code path per job kind, shared by `codesign` and `codesign serve`.
 //!
-//! The `codesign-serve` crate is deliberately generic: it knows how to
-//! queue, retry, drain, and account for jobs, but not what a job *is*.
-//! This module closes the loop with [`CodesignRunner`], a
-//! [`JobRunner`] that maps protocol requests onto the same flows the
-//! CLI subcommands run — partition, explore, cosim, faults, conform —
-//! and renders each result **byte-identically** to the corresponding
-//! CLI invocation, through renderers shared with `src/bin/codesign.rs`
-//! (the chaos benchmark diffs the two outputs literally).
+//! Each job kind — partition, explore, cosim, faults, conform — has one
+//! resolver here that reads its parameters through [`Params`] and
+//! applies their bounds. A served [`Request`] and the CLI's argv both
+//! implement [`Params`], so a value one front end refuses the other
+//! refuses too. The job then runs one flow and renders through one
+//! renderer, so a served result is **byte-identical** to the matching
+//! CLI invocation. Each front end keeps only its own defaults (a served
+//! conform sweep checks 40 systems, the CLI 1000) and flags.
 //!
-//! Multi-tenancy: the runner holds one shared, sharded
-//! [`EvalCache`] *tenant store*. Each `explore` job preloads a private
-//! cache from the store's current entries, runs, and merges its fresh
-//! session entries back, so tenants warm each other up without ever
-//! blocking on a common lock during evaluation. The store's
-//! preloaded-vs-session split is what makes a crash-safe disk append
-//! exact: `persist_session` writes only what this serving session
-//! actually added.
+//! Multi-tenancy: [`CodesignRunner`] holds one sharded [`EvalCache`]
+//! *tenant store*, and every exploration goes through [`run_explore`]:
+//! a private cache warms from the store, the exploration runs, and its
+//! fresh entries merge back, so tenants warm each other up without
+//! sharing a lock during evaluation. The store's preloaded-vs-session
+//! split lets `persist_session` append exactly what this session added.
 //!
 //! Chaos directives (`"chaos"` in a request) make failure injection a
 //! first-class, deterministic part of the protocol:
@@ -32,10 +30,12 @@
 
 use std::sync::Arc;
 
+use codesign_conform::sweep::SweepConfig;
 use codesign_explore::{
-    explore_with_cache, DesignSpace, EvalCache, EvalMode, ExploreConfig, SpaceConfig,
+    explore_with_cache, DesignSpace, EvalCache, ExploreConfig, ExploreOutcome, SpaceConfig,
 };
 use codesign_fault::{error_code, retryable};
+use codesign_ir::process::{ProcessId, ProcessNetwork};
 use codesign_ir::spec::SystemSpec;
 use codesign_ir::task::TaskGraph;
 use codesign_partition::algorithms::{
@@ -48,22 +48,176 @@ use codesign_partition::{Partition, Side};
 use codesign_serve::{JobError, JobRunner, Request, RunOutcome};
 use codesign_sim::engine::{Coordinator, CoordinatorStats, SimEngine, WatchdogConfig};
 use codesign_sim::error::SimError;
-use codesign_sim::message::{
-    simulate_traced, MessageConfig, MessageEngine, MessageReport, Placement, Resource,
-};
-use codesign_synth::mthread::{comm_aware_traced, MthreadConfig};
+use codesign_sim::message::{MessageConfig, MessageEngine, MessageReport, Placement};
+use codesign_synth::mthread::{comm_aware_traced, placement_for, MthreadConfig};
 use codesign_trace::json::{self, Object};
 use codesign_trace::Tracer;
 
 use crate::resilience::{run_campaign_traced, CampaignConfig};
 
 // ---------------------------------------------------------------------------
-// Shared renderers: one source of truth for CLI and served bytes.
+// Parameters: one reader trait, two front ends.
 // ---------------------------------------------------------------------------
 
-/// The `partition --json` report. Extracted from the CLI so a served
-/// `partition` job returns the exact bytes `codesign partition --json`
-/// prints.
+/// Where a job's parameters come from: a served [`Request`] or the
+/// CLI's argv. Keys are request field names (`seed_base`); the argv
+/// reader maps them onto flags (`--seed-base`). Every malformed or
+/// out-of-range value is a `bad_field` error naming the key or flag.
+pub trait Params {
+    /// A string parameter, `None` when absent.
+    fn str(&self, key: &str) -> Result<Option<&str>, JobError>;
+    /// An integer parameter in `lo..=hi`, `None` when absent; an
+    /// out-of-range value is refused, never clamped.
+    fn int(&self, key: &str, lo: u64, hi: u64) -> Result<Option<u64>, JobError>;
+    /// A boolean switch, `false` when absent.
+    fn flag(&self, key: &str) -> Result<bool, JobError>;
+}
+
+impl Params for Request {
+    fn str(&self, key: &str) -> Result<Option<&str>, JobError> {
+        match self.params.get(key) {
+            None => Ok(None),
+            Some(v) => v.as_str().map(Some).ok_or_else(|| {
+                JobError::permanent("bad_field", format!("`{key}` must be a string"))
+            }),
+        }
+    }
+
+    fn int(&self, key: &str, lo: u64, hi: u64) -> Result<Option<u64>, JobError> {
+        match self.params.get(key) {
+            None => Ok(None),
+            Some(v) => {
+                let n = v.as_int().ok_or_else(|| {
+                    JobError::permanent("bad_field", format!("`{key}` must be an integer"))
+                })?;
+                let n = u64::try_from(n).map_err(|_| {
+                    JobError::permanent("bad_field", format!("`{key}` must be non-negative"))
+                })?;
+                if n < lo || n > hi {
+                    return Err(JobError::permanent(
+                        "bad_field",
+                        format!("`{key}` = {n} out of range {lo}..={hi}"),
+                    ));
+                }
+                Ok(Some(n))
+            }
+        }
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, JobError> {
+        match self.params.get(key) {
+            None => Ok(false),
+            Some(v) => v.as_bool().ok_or_else(|| {
+                JobError::permanent("bad_field", format!("`{key}` must be a boolean"))
+            }),
+        }
+    }
+}
+
+/// The task-graph view a `partition` or `explore` job needs, or a
+/// `bad_spec` error.
+pub fn task_graph<'s>(spec: &'s SystemSpec, kind: &str) -> Result<&'s TaskGraph, JobError> {
+    spec.task_graph().ok_or_else(|| {
+        JobError::permanent(
+            "bad_spec",
+            format!("the spec declares no tasks; `{kind}` needs the task-graph view"),
+        )
+    })
+}
+
+/// The process-network view a `cosim` job needs, or a `bad_spec` error.
+pub fn process_network(spec: &SystemSpec) -> Result<&ProcessNetwork, JobError> {
+    spec.network().ok_or_else(|| {
+        JobError::permanent(
+            "bad_spec",
+            "the spec declares no processes; `cosim` needs the process view",
+        )
+    })
+}
+
+/// Resolves the shared `objective`/`deadline` parameters (the deadline
+/// defaults to the spec's `deadline` line).
+fn resolve_objective(
+    p: &dyn Params,
+    graph: &TaskGraph,
+) -> Result<(Objective, Option<u64>), JobError> {
+    let deadline = p.int("deadline", 0, u64::MAX)?.or_else(|| graph.deadline());
+    let objective = match (p.str("objective")?, deadline) {
+        (Some("cost"), Some(d)) => Objective::cost_driven(d),
+        (Some("concurrency"), Some(d)) => Objective::concurrency_aware(d),
+        (Some("perf") | None, Some(d)) => Objective::performance_driven(d),
+        (Some(o), Some(_)) => {
+            return Err(JobError::permanent(
+                "bad_field",
+                format!("unknown objective `{o}`"),
+            ))
+        }
+        (_, None) => Objective::default(),
+    };
+    Ok((objective, deadline))
+}
+
+/// A finished `partition` job.
+#[derive(Debug, Clone)]
+pub struct PartitionRun {
+    /// The algorithm that ran (`kl` unless `algorithm` named another).
+    pub algorithm: String,
+    /// The deadline the objective priced against, if any.
+    pub deadline: Option<u64>,
+    /// The chosen HW/SW partition.
+    pub partition: Partition,
+    /// Its evaluation.
+    pub eval: Evaluation,
+}
+
+impl PartitionRun {
+    /// The `partition --json` report of this run.
+    #[must_use]
+    pub fn report_json(&self, system: &str, graph: &TaskGraph) -> String {
+        let (p, e) = (&self.partition, &self.eval);
+        partition_report_json(system, &self.algorithm, graph, p, e, self.deadline)
+    }
+}
+
+/// Resolves a `partition` job — `objective`, `deadline`, `sharing`,
+/// `algorithm` (`kl|sw|hw|gclp|sa|portfolio`, default `kl`) — and runs
+/// it on `graph`. A failing algorithm is a `partition_error`.
+pub fn run_partition(p: &dyn Params, graph: &TaskGraph) -> Result<PartitionRun, JobError> {
+    let (objective, deadline) = resolve_objective(p, graph)?;
+    let shared;
+    let naive = NaiveArea;
+    let area: &dyn HwAreaModel = if p.flag("sharing")? {
+        shared = SharedArea::from_graph(graph);
+        &shared
+    } else {
+        &naive
+    };
+    let config = EvalConfig::new(objective, area);
+    let algorithm = p.str("algorithm")?.unwrap_or("kl");
+    let (partition, eval) = match algorithm {
+        "kl" => kernighan_lin(graph, &config),
+        "sw" => sw_first(graph, &config),
+        "hw" => hw_first(graph, &config),
+        "gclp" => gclp(graph, &config),
+        "sa" => simulated_annealing(graph, &config, &AnnealingSchedule::default(), 1),
+        "portfolio" => portfolio(graph, &config),
+        other => {
+            return Err(JobError::permanent(
+                "bad_field",
+                format!("unknown algorithm `{other}`"),
+            ))
+        }
+    }
+    .map_err(|e| JobError::permanent("partition_error", e.to_string()))?;
+    Ok(PartitionRun {
+        algorithm: algorithm.to_string(),
+        deadline,
+        partition,
+        eval,
+    })
+}
+
+/// The `partition --json` report, and the served `partition` result.
 #[must_use]
 pub fn partition_report_json(
     system: &str,
@@ -103,8 +257,52 @@ pub fn partition_report_json(
         + "\n"
 }
 
-/// What the CLI passes to [`run_cosim`]: a pinned hardware set *or* a
-/// search budget, plus the coordinator quantum.
+/// Resolves an `explore` job: `objective`, `deadline`, `sharing`, `seed`
+/// (default 42), `budget` (1..=1 000 000, default 256) and `workers`
+/// (1..=64, default 8). The configuration runs on one thread in delta
+/// mode; the CLI may change `threads` and `eval_mode`, which never move
+/// the report.
+pub fn resolve_explore(
+    p: &dyn Params,
+    graph: &TaskGraph,
+) -> Result<(DesignSpace, ExploreConfig), JobError> {
+    let (objective, _) = resolve_objective(p, graph)?;
+    let space_cfg = SpaceConfig {
+        objective,
+        sharing_aware: p.flag("sharing")?,
+        ..SpaceConfig::default()
+    };
+    let cfg = ExploreConfig {
+        seed: p.int("seed", 0, u64::MAX)?.unwrap_or(42),
+        budget: p.int("budget", 1, 1_000_000)?.unwrap_or(256),
+        workers: p.int("workers", 1, 64)?.unwrap_or(8) as usize,
+        ..ExploreConfig::default()
+    };
+    Ok((DesignSpace::new(graph.clone(), space_cfg), cfg))
+}
+
+/// Runs an exploration against a tenant `store`: a private cache warms
+/// from the store's entries, the exploration runs, and its fresh
+/// evaluations merge back into the store.
+pub fn run_explore(
+    store: &EvalCache,
+    space: &DesignSpace,
+    cfg: &ExploreConfig,
+    tracer: &Tracer,
+) -> ExploreOutcome {
+    let cache = EvalCache::new();
+    for (key, score) in store.entries() {
+        cache.preload(key, score);
+    }
+    let outcome = explore_with_cache(space, cfg, cache, tracer);
+    for (key, score) in outcome.cache.session_entries() {
+        store.insert(key, score);
+    }
+    outcome
+}
+
+/// What [`run_cosim`] runs: a pinned hardware set *or* a search budget,
+/// plus the coordinator quantum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CosimParams {
     /// Process names pinned to hardware (ignored when `budget` is set).
@@ -126,13 +324,27 @@ impl Default for CosimParams {
     }
 }
 
+/// Resolves a `cosim` job on `net`: `hw` (comma-separated process
+/// names), `budget` (1..=the number of processes) and `quantum`
+/// (1..=1 000 000, default 16).
+pub fn resolve_cosim(p: &dyn Params, net: &ProcessNetwork) -> Result<CosimParams, JobError> {
+    Ok(CosimParams {
+        hw: p
+            .str("hw")?
+            .map(|v| v.split(',').map(ToString::to_string).collect())
+            .unwrap_or_default(),
+        budget: p.int("budget", 1, net.len() as u64)?.map(|n| n as usize),
+        quantum: p.int("quantum", 1, 1_000_000)?.unwrap_or(16),
+    })
+}
+
 /// Everything a cosim report renders: the message-level results plus
 /// the coordinator's synchronization statistics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CosimOutcome {
     /// Hardware process names (resolved, in placement order).
     pub hw_names: Vec<String>,
-    /// Message-level simulation report.
+    /// Message-level report of the engine the coordinator ran.
     pub report: MessageReport,
     /// Conservative-coordinator statistics.
     pub stats: CoordinatorStats,
@@ -140,37 +352,16 @@ pub struct CosimOutcome {
     pub skew: u64,
 }
 
-/// The placement phase of the cosim flow: resolves the hardware set
-/// (pinned or searched) and runs the message-level simulation. Fast and
-/// deterministic, so a preempted job recomputes it on every slice
-/// instead of serializing it into the checkpoint.
+/// The placement phase of the cosim flow: resolves the hardware set,
+/// pinned by name or searched within the budget. Deterministic, so a
+/// preempted job recomputes it on every slice instead of serializing it
+/// into the checkpoint; a pinned set costs only the name lookup.
 fn cosim_placement(
-    net: &codesign_ir::process::ProcessNetwork,
+    net: &ProcessNetwork,
     params: &CosimParams,
     tracer: &Tracer,
-) -> Result<(Vec<String>, MessageReport, Placement), JobError> {
-    let report;
-    let placement;
-    let hw_names: Vec<String>;
-    if let Some(budget) = params.budget {
-        let cfg = MthreadConfig {
-            max_hw_processes: budget,
-            sim: MessageConfig::default(),
-        };
-        let outcome = comm_aware_traced(net, &cfg, tracer)
-            .map_err(|e| JobError::permanent("synth_error", e.to_string()))?;
-        hw_names = outcome
-            .hw_processes
-            .iter()
-            .map(|&i| {
-                net.process(codesign_ir::process::ProcessId::from_index(i))
-                    .name()
-                    .to_string()
-            })
-            .collect();
-        report = outcome.report;
-        placement = outcome.placement;
-    } else {
+) -> Result<(Vec<String>, Placement), JobError> {
+    let Some(budget) = params.budget else {
         let mut hw_idx = Vec::new();
         for name in &params.hw {
             let found = net
@@ -182,30 +373,26 @@ fn cosim_placement(
                 })?;
             hw_idx.push(found);
         }
-        let mut next_hw = 0u32;
-        placement = Placement::from_assignment(
-            (0..net.len())
-                .map(|i| {
-                    if hw_idx.contains(&i) {
-                        next_hw += 1;
-                        Resource::Hardware(next_hw - 1)
-                    } else {
-                        Resource::Software(0)
-                    }
-                })
-                .collect(),
-        );
-        hw_names = params.hw.clone();
-        report = simulate_traced(net, &placement, &MessageConfig::default(), tracer)
-            .map_err(sim_job_error)?;
-    }
-    Ok((hw_names, report, placement))
+        return Ok((params.hw.clone(), placement_for(net, &hw_idx)));
+    };
+    let cfg = MthreadConfig {
+        max_hw_processes: budget,
+        sim: MessageConfig::default(),
+    };
+    let outcome = comm_aware_traced(net, &cfg, tracer)
+        .map_err(|e| JobError::permanent("synth_error", e.to_string()))?;
+    let hw_names = outcome
+        .hw_processes
+        .iter()
+        .map(|&i| net.process(ProcessId::from_index(i)).name().to_string())
+        .collect();
+    Ok((hw_names, outcome.placement))
 }
 
-/// Runs the cosim flow — placement (pinned or searched), message-level
-/// simulation, then the same network mounted under the conservative
-/// coordinator. The single implementation behind both `codesign cosim`
-/// and the served `cosim` job, so the two cannot drift.
+/// Runs the cosim flow: placement (pinned or searched), then the
+/// network once, as a [`MessageEngine`] under the conservative
+/// coordinator; the report is that engine's. The single implementation
+/// behind both `codesign cosim` and the served `cosim` job.
 ///
 /// # Errors
 ///
@@ -213,53 +400,36 @@ fn cosim_placement(
 /// name, otherwise the fault taxonomy's code for the underlying
 /// simulation failure.
 pub fn run_cosim(
-    net: &codesign_ir::process::ProcessNetwork,
+    net: &ProcessNetwork,
     params: &CosimParams,
     tracer: &Tracer,
 ) -> Result<CosimOutcome, JobError> {
-    match run_cosim_sliced(net, params, tracer, None, None)? {
-        CosimProgress::Done(outcome) => Ok(*outcome),
-        CosimProgress::Preempted(_) => unreachable!("no slice means no preemption"),
-    }
-}
-
-/// How one execution slice of a cosim job ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CosimProgress {
-    /// Ran to completion.
-    Done(Box<CosimOutcome>),
-    /// The slice expired mid-coordination; the blob is a replay
-    /// checkpoint of the whole coordinator, resumable on any
-    /// structurally identical rebuild.
-    Preempted(Vec<u8>),
+    Ok(cosim_slice(net, params, tracer, None, None)?.expect("no slice means no preemption"))
 }
 
 /// [`run_cosim`] with checkpoint preemption: when `slice` is set and
 /// wall-clock time runs past it before the coordinator finishes, the
 /// co-simulation state is serialized with `codesign_replay::snapshot`
-/// and returned as [`CosimProgress::Preempted`]. Passing the blob back
-/// as `resume` continues the run exactly where it stopped — the final
-/// report is byte-identical to an unsliced run.
-///
-/// # Errors
-///
-/// As [`run_cosim`]; additionally `state_error` when a resume blob does
-/// not fit the rebuilt coordinator.
-pub fn run_cosim_sliced(
-    net: &codesign_ir::process::ProcessNetwork,
+/// and returned as the inner `Err`, a checkpoint of the whole
+/// coordinator. Passing it back as `resume` continues the run exactly
+/// where it stopped — the final report is byte-identical to an
+/// unsliced run. A resume blob that does not fit the rebuilt
+/// coordinator is a `state_error`.
+fn cosim_slice(
+    net: &ProcessNetwork,
     params: &CosimParams,
     tracer: &Tracer,
     resume: Option<&[u8]>,
     slice: Option<std::time::Duration>,
-) -> Result<CosimProgress, JobError> {
-    let (hw_names, report, placement) = cosim_placement(net, params, tracer)?;
+) -> Result<Result<CosimOutcome, Vec<u8>>, JobError> {
+    let (hw_names, placement) = cosim_placement(net, params, tracer)?;
 
     let sim_cfg = MessageConfig::default();
+    let mut engine = MessageEngine::new("process-net", net.clone(), placement, sim_cfg.clone())
+        .map_err(sim_job_error)?;
+    engine.set_tracer(tracer);
     let mut coord = Coordinator::new(params.quantum);
-    coord.add_engine(Box::new(
-        MessageEngine::new("process-net", net.clone(), placement, sim_cfg.clone())
-            .map_err(sim_job_error)?,
-    ));
+    coord.add_engine(Box::new(engine));
     coord.set_tracer(tracer);
     if let Some(blob) = resume {
         codesign_replay::restore(&mut coord, None, blob).map_err(sim_job_error)?;
@@ -272,21 +442,24 @@ pub fn run_cosim_sliced(
     while !coord.is_done() {
         coord.run_one_round(sim_cfg.budget).map_err(sim_job_error)?;
         if preemptable && !coord.is_done() && started.elapsed() >= slice.unwrap() {
-            return Ok(CosimProgress::Preempted(codesign_replay::snapshot(
-                &coord, None,
-            )));
+            return Ok(Err(codesign_replay::snapshot(&coord, None)));
         }
     }
-    Ok(CosimProgress::Done(Box::new(CosimOutcome {
+    let report = coord.engines()[0]
+        .as_any()
+        .downcast_ref::<MessageEngine>()
+        .expect("the cosim coordinator runs one message engine")
+        .report()
+        .clone();
+    Ok(Ok(CosimOutcome {
         hw_names,
         report,
         stats: coord.stats(),
         skew: coord.skew(),
-    })))
+    }))
 }
 
-/// The `cosim --json` report: message-level results plus coordinator
-/// statistics, shared by the CLI flag and the served `cosim` job.
+/// The `cosim --json` report, and the served `cosim` result.
 #[must_use]
 pub fn cosim_report_json(system: &str, quantum: u64, outcome: &CosimOutcome) -> String {
     let stats = &outcome.stats;
@@ -328,86 +501,29 @@ pub fn sim_job_error(err: SimError) -> JobError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Typed parameter access: every malformed request dies with a named code.
-// ---------------------------------------------------------------------------
-
-fn param_str<'a>(req: &'a Request, key: &str) -> Result<Option<&'a str>, JobError> {
-    match req.params.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| JobError::permanent("bad_field", format!("`{key}` must be a string"))),
-    }
+/// Resolves a `faults` campaign: `seeds` (1..=10 000, default 32),
+/// `seed_base` (default `0xC0DE`) and `scenario` (default all).
+pub fn resolve_faults(p: &dyn Params) -> Result<CampaignConfig, JobError> {
+    Ok(CampaignConfig {
+        seeds: p.int("seeds", 1, 10_000)?.unwrap_or(32),
+        seed_base: p.int("seed_base", 0, u64::MAX)?.unwrap_or(0xC0DE),
+        scenario: p.str("scenario")?.map(ToString::to_string),
+        ..CampaignConfig::default()
+    })
 }
 
-fn require_str<'a>(req: &'a Request, key: &str) -> Result<&'a str, JobError> {
-    param_str(req, key)?
-        .ok_or_else(|| JobError::permanent("missing_field", format!("`{key}` is required")))
-}
-
-/// An integer parameter constrained to `lo..=hi`; out-of-range values
-/// are a `bad_field` error naming the bound, not a silent clamp.
-fn param_u64(req: &Request, key: &str, lo: u64, hi: u64) -> Result<Option<u64>, JobError> {
-    match req.params.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v.as_int().ok_or_else(|| {
-                JobError::permanent("bad_field", format!("`{key}` must be an integer"))
-            })?;
-            let n = u64::try_from(n).map_err(|_| {
-                JobError::permanent("bad_field", format!("`{key}` must be non-negative"))
-            })?;
-            if n < lo || n > hi {
-                return Err(JobError::permanent(
-                    "bad_field",
-                    format!("`{key}` = {n} out of range {lo}..={hi}"),
-                ));
-            }
-            Ok(Some(n))
-        }
-    }
-}
-
-fn param_bool(req: &Request, key: &str) -> Result<bool, JobError> {
-    match req.params.get(key) {
-        None => Ok(false),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| JobError::permanent("bad_field", format!("`{key}` must be a boolean"))),
-    }
-}
-
-fn load_spec(req: &Request) -> Result<SystemSpec, JobError> {
-    let path = require_str(req, "spec")?;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| JobError::permanent("bad_spec", format!("cannot read `{path}`: {e}")))?;
-    SystemSpec::parse(&text)
-        .map_err(|e| JobError::permanent("bad_spec", format!("cannot parse `{path}`: {e}")))
-}
-
-/// Resolves the shared `objective`/`deadline` parameters exactly like
-/// the CLI's `--objective`/`--deadline` flags (the deadline defaults to
-/// the spec's `deadline` line).
-fn objective_params(
-    req: &Request,
-    graph: &TaskGraph,
-) -> Result<(Objective, Option<u64>), JobError> {
-    let deadline = param_u64(req, "deadline", 0, u64::MAX)?.or_else(|| graph.deadline());
-    let objective = match (param_str(req, "objective")?, deadline) {
-        (Some("cost"), Some(d)) => Objective::cost_driven(d),
-        (Some("concurrency"), Some(d)) => Objective::concurrency_aware(d),
-        (Some("perf") | None, Some(d)) => Objective::performance_driven(d),
-        (Some(o), Some(_)) => {
-            return Err(JobError::permanent(
-                "bad_field",
-                format!("unknown objective `{o}`"),
-            ))
-        }
-        (_, None) => Objective::default(),
-    };
-    Ok((objective, deadline))
+/// Resolves a `conform` sweep: `systems` (1..=100 000, default
+/// `default_systems`, which each front end picks) and `seed` (default
+/// 42), on one thread with lockstep passes on.
+pub fn resolve_conform(p: &dyn Params, default_systems: usize) -> Result<SweepConfig, JobError> {
+    Ok(SweepConfig {
+        systems: p
+            .int("systems", 1, 100_000)?
+            .map_or(default_systems, |n| n as usize),
+        seed: p.int("seed", 0, u64::MAX)?.unwrap_or(42),
+        threads: 1,
+        ..SweepConfig::default()
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -462,6 +578,24 @@ fn chaos_stall(tracer: &Tracer) -> JobError {
 // The runner.
 // ---------------------------------------------------------------------------
 
+/// Served conform sweeps check this many systems unless `systems` says
+/// otherwise (the CLI's default is 1000).
+const SERVED_CONFORM_SYSTEMS: usize = 40;
+
+/// Reads and parses the spec every spec-driven job starts from; an
+/// unreadable or malformed file is a `bad_spec` error.
+pub fn load_spec(path: &str) -> Result<SystemSpec, JobError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| JobError::permanent("bad_spec", format!("cannot read `{path}`: {e}")))?;
+    SystemSpec::parse(&text)
+        .map_err(|e| JobError::permanent("bad_spec", format!("cannot parse `{path}`: {e}")))
+}
+
+fn spec_path(req: &Request) -> Result<&str, JobError> {
+    req.str("spec")?
+        .ok_or_else(|| JobError::permanent("missing_field", "`spec` is required"))
+}
+
 /// The job registry: runs `partition` / `explore` / `cosim` / `faults`
 /// / `conform` requests with CLI-identical output bytes, a shared
 /// eval-cache tenant store, and deterministic chaos directives.
@@ -488,146 +622,49 @@ impl CodesignRunner {
     }
 
     fn job_partition(&self, req: &Request) -> Result<String, JobError> {
-        let spec = load_spec(req)?;
-        let graph = spec.task_graph().ok_or_else(|| {
-            JobError::permanent(
-                "bad_spec",
-                "the spec declares no tasks; `partition` needs them",
-            )
-        })?;
-        let (objective, deadline) = objective_params(req, graph)?;
-        let shared;
-        let naive = NaiveArea;
-        let area: &dyn HwAreaModel = if param_bool(req, "sharing")? {
-            shared = SharedArea::from_graph(graph);
-            &shared
-        } else {
-            &naive
-        };
-        let config = EvalConfig::new(objective, area);
-        let algorithm = param_str(req, "algorithm")?.unwrap_or("kl");
-        let (partition, eval) = match algorithm {
-            "kl" => kernighan_lin(graph, &config),
-            "sw" => sw_first(graph, &config),
-            "hw" => hw_first(graph, &config),
-            "gclp" => gclp(graph, &config),
-            "sa" => simulated_annealing(graph, &config, &AnnealingSchedule::default(), 1),
-            "portfolio" => portfolio(graph, &config),
-            other => {
-                return Err(JobError::permanent(
-                    "bad_field",
-                    format!("unknown algorithm `{other}`"),
-                ))
-            }
-        }
-        .map_err(|e| JobError::permanent("partition_error", e.to_string()))?;
-        Ok(partition_report_json(
-            spec.name(),
-            algorithm,
-            graph,
-            &partition,
-            &eval,
-            deadline,
-        ))
+        let spec = load_spec(spec_path(req)?)?;
+        let graph = task_graph(&spec, "partition")?;
+        Ok(run_partition(req, graph)?.report_json(spec.name(), graph))
     }
 
     fn job_explore(&self, req: &Request) -> Result<String, JobError> {
-        let spec = load_spec(req)?;
-        let graph = spec.task_graph().ok_or_else(|| {
-            JobError::permanent(
-                "bad_spec",
-                "the spec declares no tasks; `explore` needs them",
-            )
-        })?;
-        let (objective, _) = objective_params(req, graph)?;
-        let space_cfg = SpaceConfig {
-            objective,
-            sharing_aware: param_bool(req, "sharing")?,
-            ..SpaceConfig::default()
-        };
-        let space = DesignSpace::new(graph.clone(), space_cfg);
-        let cfg = ExploreConfig {
-            seed: param_u64(req, "seed", 0, u64::MAX)?.unwrap_or(42),
-            budget: param_u64(req, "budget", 1, 1_000_000)?.unwrap_or(256),
-            threads: 1,
-            workers: param_u64(req, "workers", 1, 64)?.unwrap_or(8) as usize,
-            eval_mode: EvalMode::Delta,
-            ..ExploreConfig::default()
-        };
-        // Tenant hand-off: warm a private cache from the shared store,
-        // explore, then merge this job's fresh evaluations back.
-        let cache = EvalCache::new();
-        for (key, score) in self.store.entries() {
-            cache.preload(key, score);
-        }
-        let outcome = explore_with_cache(&space, &cfg, cache, &self.tracer);
-        for (key, score) in outcome.cache.session_entries() {
-            self.store.insert(key, score);
-        }
-        Ok(outcome.report_json(&space, &cfg))
-    }
-
-    fn job_cosim(&self, req: &Request) -> Result<String, JobError> {
-        match self.job_cosim_sliced(req, None, None)? {
-            RunOutcome::Done(out) => Ok(out),
-            RunOutcome::Preempted { .. } => unreachable!("no slice means no preemption"),
-        }
+        let spec = load_spec(spec_path(req)?)?;
+        let (space, cfg) = resolve_explore(req, task_graph(&spec, "explore")?)?;
+        Ok(run_explore(&self.store, &space, &cfg, &self.tracer).report_json(&space, &cfg))
     }
 
     /// The served `cosim` job, preemptable: with a `slice` set, a run
     /// that overshoots it checkpoints and returns
     /// [`RunOutcome::Preempted`] for the server to requeue.
-    fn job_cosim_sliced(
+    fn job_cosim(
         &self,
         req: &Request,
         resume: Option<&[u8]>,
         slice: Option<std::time::Duration>,
     ) -> Result<RunOutcome, JobError> {
-        let spec = load_spec(req)?;
-        let net = spec.network().ok_or_else(|| {
-            JobError::permanent(
-                "bad_spec",
-                "the spec declares no processes; `cosim` needs them",
-            )
-        })?;
-        let max_hw = net.len() as u64;
-        let params = CosimParams {
-            hw: param_str(req, "hw")?
-                .map(|v| v.split(',').map(ToString::to_string).collect())
-                .unwrap_or_default(),
-            budget: param_u64(req, "budget", 1, max_hw)?.map(|n| n as usize),
-            quantum: param_u64(req, "quantum", 1, 1_000_000)?.unwrap_or(16),
-        };
-        match run_cosim_sliced(net, &params, &self.tracer, resume, slice)? {
-            CosimProgress::Done(outcome) => Ok(RunOutcome::Done(cosim_report_json(
-                spec.name(),
-                params.quantum,
-                &outcome,
-            ))),
-            CosimProgress::Preempted(state) => Ok(RunOutcome::Preempted { state }),
-        }
+        let spec = load_spec(spec_path(req)?)?;
+        let net = process_network(&spec)?;
+        let params = resolve_cosim(req, net)?;
+        Ok(
+            match cosim_slice(net, &params, &self.tracer, resume, slice)? {
+                Ok(outcome) => {
+                    RunOutcome::Done(cosim_report_json(spec.name(), params.quantum, &outcome))
+                }
+                Err(state) => RunOutcome::Preempted { state },
+            },
+        )
     }
 
     fn job_faults(&self, req: &Request) -> Result<String, JobError> {
-        let config = CampaignConfig {
-            seeds: param_u64(req, "seeds", 1, 10_000)?.unwrap_or(32),
-            seed_base: param_u64(req, "seed_base", 0, u64::MAX)?.unwrap_or(0xC0DE),
-            scenario: param_str(req, "scenario")?.map(ToString::to_string),
-            ..CampaignConfig::default()
-        };
+        let config = resolve_faults(req)?;
         let report = run_campaign_traced(&config, &self.tracer)
             .map_err(|e| JobError::permanent("campaign_error", e))?;
         Ok(report.to_json())
     }
 
     fn job_conform(&self, req: &Request) -> Result<String, JobError> {
-        use codesign_conform::sweep::{report_json, run_sweep, SweepConfig};
-        let cfg = SweepConfig {
-            systems: param_u64(req, "systems", 1, 100_000)?.unwrap_or(40) as usize,
-            seed: param_u64(req, "seed", 0, u64::MAX)?.unwrap_or(42),
-            threads: 1,
-            ..SweepConfig::default()
-        };
+        use codesign_conform::sweep::{report_json, run_sweep};
+        let cfg = resolve_conform(req, SERVED_CONFORM_SYSTEMS)?;
         let report =
             run_sweep(&cfg).map_err(|e| JobError::permanent("conform_error", e.to_string()))?;
         Ok(report_json(&cfg, &report))
@@ -670,7 +707,10 @@ impl JobRunner for CodesignRunner {
         match request.kind.as_str() {
             "partition" => self.job_partition(request),
             "explore" => self.job_explore(request),
-            "cosim" => self.job_cosim(request),
+            "cosim" => match self.job_cosim(request, None, None)? {
+                RunOutcome::Done(out) => Ok(out),
+                RunOutcome::Preempted { .. } => unreachable!("no slice means no preemption"),
+            },
             "faults" => self.job_faults(request),
             "conform" => self.job_conform(request),
             other => Err(JobError::permanent(
@@ -693,11 +733,7 @@ impl JobRunner for CodesignRunner {
     ) -> Result<RunOutcome, JobError> {
         if request.kind == "cosim" && request.chaos.is_none() {
             if let Some(ms) = request.deadline_ms {
-                return self.job_cosim_sliced(
-                    request,
-                    resume,
-                    Some(std::time::Duration::from_millis(ms)),
-                );
+                return self.job_cosim(request, resume, Some(std::time::Duration::from_millis(ms)));
             }
         }
         self.run(request, attempt).map(RunOutcome::Done)
@@ -830,6 +866,47 @@ mod tests {
         let out = runner().run(&req, 1).expect("cosim job runs");
         assert!(out.contains("\"command\": \"cosim\""), "{out}");
         assert!(out.contains("\"coordinator\""), "{out}");
+    }
+
+    #[test]
+    fn cosim_reports_the_coordinated_run_as_the_standalone_one() {
+        use codesign_sim::message::simulate;
+        let text = std::fs::read_to_string(process_spec_file()).unwrap();
+        let spec = SystemSpec::parse(&text).unwrap();
+        let net = spec.network().unwrap();
+        for (hw, quantum) in [(vec![], 16), (vec!["vision".to_string()], 1), (vec![], 97)] {
+            let params = CosimParams {
+                hw,
+                budget: None,
+                quantum,
+            };
+            let outcome = run_cosim(net, &params, &Tracer::off()).expect("cosim runs");
+            let (_, placement) = cosim_placement(net, &params, &Tracer::off()).unwrap();
+            let standalone = simulate(net, &placement, &MessageConfig::default()).unwrap();
+            assert_eq!(outcome.report, standalone, "quantum {quantum}");
+        }
+    }
+
+    #[test]
+    fn resolvers_refuse_what_they_bound() {
+        use codesign_serve::Value;
+        let text = std::fs::read_to_string(process_spec_file()).unwrap();
+        let spec = SystemSpec::parse(&text).unwrap();
+        let net = spec.network().unwrap();
+        let over = net.len() as i64 + 1;
+        for (key, value) in [("quantum", 0), ("budget", 0), ("budget", over)] {
+            let err = resolve_cosim(&request("cosim", &[(key, Value::Int(value))]), net)
+                .expect_err("out of range");
+            assert_eq!(err.code, "bad_field");
+            assert!(err.message.contains(key), "{}", err.message);
+        }
+        let err = resolve_faults(&request("faults", &[("seeds", Value::Int(0))])).unwrap_err();
+        assert_eq!(err.code, "bad_field");
+        let err =
+            resolve_conform(&request("conform", &[("systems", Value::Int(0))]), 40).unwrap_err();
+        assert_eq!(err.code, "bad_field");
+        let cfg = resolve_conform(&request("conform", &[]), 40).unwrap();
+        assert_eq!(cfg.systems, 40, "the caller's default applies");
     }
 
     #[test]

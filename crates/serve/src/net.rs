@@ -19,7 +19,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -127,8 +127,20 @@ pub fn serve_lines<R: JobRunner>(
     Ok(stats)
 }
 
+/// Writes each reply as it lands, reply and newline in one `write_all`.
+/// On a socket, a reply split over two writes would leave its tail
+/// waiting behind Nagle's algorithm for the client's delayed ACK.
+fn write_replies(replies: Receiver<String>, mut out: impl Write) {
+    for mut reply in replies {
+        reply.push('\n');
+        if out.write_all(reply.as_bytes()).is_err() {
+            return; // client went away; pending sends are dropped
+        }
+    }
+}
+
 /// Streaming variant of [`serve_lines`] used by the TCP transport: the
-/// writer thread owns the output and flushes each reply as it lands.
+/// writer thread owns the output and sends each reply as it lands.
 fn connection_loop<R: JobRunner>(
     stream: &TcpStream,
     handle: &Handle<R>,
@@ -136,15 +148,11 @@ fn connection_loop<R: JobRunner>(
 ) -> std::io::Result<()> {
     let reader = BufReader::new(stream.try_clone()?);
     let write_half = stream.try_clone()?;
+    // Replies are whole lines written at once; nothing gains from
+    // holding a segment back for coalescing.
+    stream.set_nodelay(true)?;
     let (tx, rx) = channel::<String>();
-    let writer = std::thread::spawn(move || {
-        let mut out = std::io::BufWriter::new(write_half);
-        for reply in rx {
-            if writeln!(out, "{reply}").and_then(|()| out.flush()).is_err() {
-                return; // client went away; pending sends are dropped
-            }
-        }
-    });
+    let writer = std::thread::spawn(move || write_replies(rx, write_half));
     // A read timeout keeps idle connections from pinning the acceptor
     // open past shutdown.
     stream.set_read_timeout(Some(Duration::from_millis(200)))?;
@@ -300,6 +308,38 @@ this is not json\n\
         let stats = serve_lines(server, Cursor::new(input), &mut out).unwrap();
         assert_eq!(stats.ok, 1);
         assert_eq!(stats.terminal(), stats.accepted);
+    }
+
+    /// Records the size of every `write` call it receives.
+    #[derive(Default)]
+    struct RecordingWriter(std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_leaves_in_one_write_with_its_newline() {
+        let writes = std::sync::Arc::default();
+        let (tx, rx) = channel::<String>();
+        let large = "x".repeat(20 * 1024);
+        for reply in ["short", large.as_str(), "tail"] {
+            tx.send(reply.to_string()).unwrap();
+        }
+        drop(tx);
+        write_replies(rx, RecordingWriter(std::sync::Arc::clone(&writes)));
+        let writes = writes.lock().unwrap();
+        let expected: Vec<Vec<u8>> = ["short", large.as_str(), "tail"]
+            .iter()
+            .map(|r| format!("{r}\n").into_bytes())
+            .collect();
+        assert_eq!(*writes, expected, "one write per reply, newline included");
     }
 
     #[test]

@@ -79,6 +79,15 @@ impl JobError {
     }
 }
 
+/// Displays the human-readable detail only; the code is for machines.
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+impl std::error::Error for JobError {}
+
 /// How one dispatch of a job ended, short of an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunOutcome {

@@ -22,9 +22,7 @@ use codesign_hls::{synthesize, Constraints};
 use codesign_ir::process::{ProcessId, ProcessNetwork};
 use codesign_ir::workload::kernels;
 use codesign_isa::codegen::compile;
-use codesign_sim::message::{
-    simulate, simulate_traced, MessageConfig, MessageReport, Placement, Resource,
-};
+use codesign_sim::message::{simulate, MessageConfig, MessageReport, Placement, Resource};
 use codesign_trace::{Arg, Tracer};
 
 use crate::error::SynthError;
@@ -101,10 +99,11 @@ pub fn comm_aware(net: &ProcessNetwork, cfg: &MthreadConfig) -> Result<MthreadOu
 /// [`comm_aware`] with a [`Tracer`]: every candidate placement the greedy
 /// search evaluates becomes an instant event on the `mthread-search`
 /// track (timestamped by evaluation index, with the tried move and its
-/// simulated finish time as arguments), each accepted move an instant
-/// named `accept`, and the winning placement is re-simulated with the
-/// tracer so its full message-level trace is captured. Tracing is
-/// observational only; the search result is identical either way.
+/// simulated finish time as arguments), and each accepted move an
+/// instant named `accept`. The winning placement's own message-level
+/// trace is left to whoever runs it next (the cosim flow simulates it
+/// once, traced, under the coordinator). Tracing is observational only;
+/// the search result is identical either way.
 ///
 /// # Errors
 ///
@@ -187,13 +186,8 @@ pub fn comm_aware_traced(
             None => break,
         }
     }
-    let placement = placement_for(net, &hw);
-    if tracer.is_on() {
-        // Capture the winning placement's full message-level trace.
-        best = simulate_traced(net, &placement, &cfg.sim, tracer)?;
-    }
     Ok(MthreadOutcome {
-        placement,
+        placement: placement_for(net, &hw),
         report: best,
         hw_processes: hw,
     })

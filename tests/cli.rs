@@ -556,32 +556,137 @@ fn serve_names_every_malformed_request_code() {
     );
 }
 
+/// A temp path for a CLI `--out` report, removed on drop.
+fn out_file() -> tempfile::TempPath {
+    tempfile::NamedTempFile::new()
+        .expect("temp file")
+        .into_temp_path()
+}
+
 #[test]
 fn serve_results_are_byte_identical_to_the_cli() {
     let path = spec_file();
     let spec = path.to_str().unwrap();
-    let (cli_partition, err, ok) = codesign(&["partition", spec, "--json"]);
-    assert!(ok, "stderr: {err}");
-    let (cli_cosim, err, ok) = codesign(&["cosim", spec, "--json"]);
-    assert!(ok, "stderr: {err}");
+    let run = |args: &[&str]| {
+        let (out, err, ok) = codesign(args);
+        assert!(ok, "{args:?} stderr: {err}");
+        out
+    };
+    let read = |path: &std::path::Path| std::fs::read_to_string(path).expect("report written");
+    let cli_partition = run(&["partition", spec, "--json"]);
+    let cli_cosim = run(&["cosim", spec, "--json"]);
+    let explore_out = out_file();
+    let explore_path = explore_out.to_str().unwrap();
+    run(&[
+        "explore",
+        spec,
+        "--budget",
+        "32",
+        "--seed",
+        "7",
+        "--out",
+        explore_path,
+    ]);
+    let faults_out = out_file();
+    let faults_path = faults_out.to_str().unwrap();
+    run(&[
+        "faults",
+        "--seeds",
+        "2",
+        "--scenario",
+        "ladder_message",
+        "--out",
+        faults_path,
+    ]);
+    let cli_conform = run(&["conform", "--systems", "4", "--seed", "9", "--json"]);
 
     let input = format!(
         "{{\"id\":\"part\",\"kind\":\"partition\",\"spec\":\"{spec}\"}}\n\
          {{\"id\":\"cosim\",\"kind\":\"cosim\",\"spec\":\"{spec}\"}}\n\
+         {{\"id\":\"explore\",\"kind\":\"explore\",\"spec\":\"{spec}\",\"budget\":32,\"seed\":7}}\n\
+         {{\"id\":\"faults\",\"kind\":\"faults\",\"seeds\":2,\"scenario\":\"ladder_message\"}}\n\
+         {{\"id\":\"conform\",\"kind\":\"conform\",\"systems\":4,\"seed\":9}}\n\
          {{\"id\":\"w\",\"kind\":\"wait\"}}\n\
          {{\"id\":\"z\",\"kind\":\"shutdown\"}}\n"
     );
     let (out, err, ok) = serve_stdio(&input);
     assert!(ok, "serve must exit cleanly: {err}");
-    for (id, cli_bytes) in [("part", &cli_partition), ("cosim", &cli_cosim)] {
+    for (id, cli_bytes) in [
+        ("part", cli_partition),
+        ("cosim", cli_cosim),
+        ("explore", read(&explore_out)),
+        ("faults", read(&faults_out)),
+        ("conform", cli_conform),
+    ] {
         let reply = out
             .lines()
             .find(|l| l.starts_with(&format!("{{\"id\":\"{id}\",\"status\":\"ok\"")))
             .unwrap_or_else(|| panic!("no ok reply for {id}: {out}"));
         assert_eq!(
-            &served_result(reply),
+            served_result(reply),
             cli_bytes,
             "served `{id}` bytes must equal the direct CLI run"
+        );
+    }
+}
+
+/// Out-of-range values are refused by both front ends with the same
+/// bound: the CLI exits 1 (never panics with 101) naming the flag, and
+/// the server replies `bad_field`.
+#[test]
+fn cli_and_server_refuse_the_same_out_of_range_values() {
+    let path = spec_file();
+    let spec = path.to_str().unwrap();
+    let cases: [(&[&str], &str, String); 5] = [
+        (
+            &["cosim", spec, "--quantum", "0"],
+            "--quantum",
+            format!("\"kind\":\"cosim\",\"spec\":\"{spec}\",\"quantum\":0"),
+        ),
+        (
+            &["explore", spec, "--budget", "0"],
+            "--budget",
+            format!("\"kind\":\"explore\",\"spec\":\"{spec}\",\"budget\":0"),
+        ),
+        (
+            &["explore", spec, "--workers", "65"],
+            "--workers",
+            format!("\"kind\":\"explore\",\"spec\":\"{spec}\",\"workers\":65"),
+        ),
+        (
+            &["faults", "--seeds", "0"],
+            "--seeds",
+            "\"kind\":\"faults\",\"seeds\":0".to_string(),
+        ),
+        (
+            &["conform", "--systems", "0"],
+            "--systems",
+            "\"kind\":\"conform\",\"systems\":0".to_string(),
+        ),
+    ];
+    let mut input = String::new();
+    for (i, (args, flag, fields)) in cases.iter().enumerate() {
+        let out = Command::new(env!("CARGO_BIN_EXE_codesign"))
+            .args(*args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1: {err}");
+        assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
+        assert!(err.contains("out of range"), "{args:?}: {err}");
+        input.push_str(&format!("{{\"id\":\"c{i}\",{fields}}}\n"));
+    }
+    input.push_str("{\"id\":\"w\",\"kind\":\"wait\"}\n{\"id\":\"z\",\"kind\":\"shutdown\"}\n");
+    let (out, err, ok) = serve_stdio(&input);
+    assert!(ok, "serve must exit cleanly: {err}");
+    for i in 0..cases.len() {
+        let reply = out
+            .lines()
+            .find(|l| l.starts_with(&format!("{{\"id\":\"c{i}\",")))
+            .unwrap_or_else(|| panic!("no reply for case {i}: {out}"));
+        assert!(
+            reply.contains("\"code\":\"bad_field\""),
+            "case {i} must be a bad_field: {reply}"
         );
     }
 }
